@@ -40,6 +40,7 @@ __all__ = ["Gf2BitBackend", "PackedGf2Eliminator"]
 _WORD_BITS = 64
 _BYTE_SHIFTS = (np.arange(8, dtype=np.uint64) * np.uint64(8))
 _ONE = np.uint64(1)
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 def _require_gf2(field: GaloisField) -> None:
@@ -87,6 +88,27 @@ def _lowest_set_bit(masked: np.ndarray) -> np.ndarray:
     return first_word * _WORD_BITS + bit
 
 
+def _ints_to_words(values: "list[int]", words: int) -> np.ndarray:
+    """Python ints as ``(len(values), words)`` little-endian uint64 rows."""
+    shifts = range(0, words * _WORD_BITS, _WORD_BITS)
+    flat = np.fromiter(
+        ((value >> shift) & _WORD_MASK for value in values for shift in shifts),
+        dtype=np.uint64,
+        count=len(values) * words,
+    )
+    return flat.reshape(-1, words)
+
+
+def _words_to_ints(packed: np.ndarray) -> "list[int]":
+    """Inverse of :func:`_ints_to_words` for any ``(..., words)`` array."""
+    blob = np.ascontiguousarray(packed, dtype=np.uint64).tobytes()
+    width = packed.shape[-1] * 8
+    return [
+        int.from_bytes(blob[start : start + width], "little")
+        for start in range(0, len(blob), width)
+    ]
+
+
 class PackedGf2Eliminator(EliminatorState):
     """Word-parallel incremental GF(2) elimination over stacked problems.
 
@@ -96,6 +118,15 @@ class PackedGf2Eliminator(EliminatorState):
     row and every sweep is XOR arithmetic.  :meth:`basis` and :meth:`combine`
     unpack back to dense field elements on demand, so callers never see the
     packed representation.
+
+    The single-problem fast path (:meth:`combine_one` / :meth:`eliminate_one`)
+    works on a second representation built on its first use: every stored
+    row as one python int in a flat ``batch * pivot_limit`` list, plus one
+    pivot bitmask int per problem.  The fast path marks the problems it
+    changes; the ``rows`` / ``pivot_mask`` / ``ranks`` arrays are written back
+    from the ints whenever they are read and before any batch-side method
+    runs, and batch-side mutations refresh the ints of the problems they
+    touch, so whichever side is read, it holds the current state.
     """
 
     def __init__(
@@ -122,9 +153,9 @@ class PackedGf2Eliminator(EliminatorState):
         self.pivot_limit = columns - augmented_columns
         self.words = (columns + _WORD_BITS - 1) // _WORD_BITS
         #: Packed stored rows, keyed by pivot column as in BatchEliminator.
-        self.rows = np.zeros((batch, self.pivot_limit, self.words), dtype=np.uint64)
-        self.pivot_mask = np.zeros((batch, self.pivot_limit), dtype=bool)
-        self.ranks = np.zeros(batch, dtype=np.int64)
+        self._rows = np.zeros((batch, self.pivot_limit, self.words), dtype=np.uint64)
+        self._pivot_mask = np.zeros((batch, self.pivot_limit), dtype=bool)
+        self._ranks = np.zeros(batch, dtype=np.int64)
         # Word mask selecting the pivot-eligible bits (augmented bits never
         # decide helpfulness or pivots).
         pivot_words = np.zeros(self.words, dtype=np.uint64)
@@ -142,18 +173,76 @@ class PackedGf2Eliminator(EliminatorState):
         # Pivot-eligible bits of a whole packed row, as one arbitrary-precision
         # python int (the single-delivery fast path works in int space).
         self._eligible_int = (1 << self.pivot_limit) - 1
-        # Lazy per-problem pivot bitmask (int per problem), materialised by the
-        # first combine_one/eliminate_one call and kept in sync by every state
-        # mutation (eliminate, eliminate_one, reset_problems).
-        self._pivot_bits: "list[int] | None" = None
+        self._mask_words = (self.pivot_limit + _WORD_BITS - 1) // _WORD_BITS
+        # The fast path's int state (None until first used), and one flag
+        # per problem it changed since the arrays were last written back.
+        self._ints: "list[int] | None" = None
+        self._pivot_bits: "list[int]" = []
+        self._dirty = bytearray(batch)
 
-    def _ensure_pivot_bits(self) -> "list[int]":
-        if self._pivot_bits is None:
-            packed_mask = np.packbits(self.pivot_mask, axis=1, bitorder="little")
-            self._pivot_bits = [
-                int.from_bytes(row.tobytes(), "little") for row in packed_mask
+    @property
+    def rows(self) -> np.ndarray:
+        """``(batch, pivot_limit, words)`` packed stored rows."""
+        self._sync()
+        return self._rows
+
+    @property
+    def pivot_mask(self) -> np.ndarray:
+        """``(batch, pivot_limit)`` bool: which pivot columns each problem holds."""
+        self._sync()
+        return self._pivot_mask
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """``(batch,)`` int64 rank of every problem."""
+        self._sync()
+        return self._ranks
+
+    def _sync(self) -> None:
+        """Write the fast path's changed problems back into the arrays."""
+        if self._ints is None:
+            return
+        flags = np.frombuffer(self._dirty, dtype=np.uint8)
+        dirty = np.flatnonzero(flags).tolist()
+        flags[dirty] = 0
+        limit = self.pivot_limit
+        for start in range(0, len(dirty), 1024):
+            problems = dirty[start : start + 1024]
+            rows = [
+                self._ints[problem * limit + col]
+                for problem in problems
+                for col in range(limit)
             ]
-        return self._pivot_bits
+            bits = [self._pivot_bits[problem] for problem in problems]
+            self._rows[problems] = _ints_to_words(rows, self.words).reshape(
+                len(problems), limit, self.words
+            )
+            self._pivot_mask[problems] = _unpack_rows(
+                _ints_to_words(bits, self._mask_words), limit, bool
+            )
+            self._ranks[problems] = [value.bit_count() for value in bits]
+
+    def _int_state(self) -> "list[int]":
+        """The fast path's flat int rows, built from the arrays on first use."""
+        if self._ints is None:
+            self._ints = _words_to_ints(self._rows.reshape(-1, self.words))
+            self._pivot_bits = _words_to_ints(
+                _pack_rows(self._pivot_mask, self._mask_words)
+            )
+        return self._ints
+
+    def _refresh_ints(self, problems: "list[int]") -> None:
+        """Re-read the int state of ``problems`` after a batch-side mutation."""
+        if self._ints is None or not problems:
+            return
+        limit = self.pivot_limit
+        rows = _words_to_ints(self._rows[problems])
+        bits = _words_to_ints(_pack_rows(self._pivot_mask[problems], self._mask_words))
+        for offset, problem in enumerate(problems):
+            self._ints[problem * limit : (problem + 1) * limit] = rows[
+                offset * limit : (offset + 1) * limit
+            ]
+            self._pivot_bits[problem] = bits[offset]
 
     def eliminate(
         self, incoming: np.ndarray, indices: "np.ndarray | None" = None
@@ -164,6 +253,7 @@ class PackedGf2Eliminator(EliminatorState):
         :meth:`repro.gf.linalg.BatchEliminator.eliminate`; the arithmetic is
         one XOR per 64 columns instead of a dense field sweep.
         """
+        self._sync()
         work = np.ascontiguousarray(incoming, dtype=self.field.dtype)
         if work.ndim != 2 or work.shape[1] != self.columns:
             raise FieldError(
@@ -185,7 +275,7 @@ class PackedGf2Eliminator(EliminatorState):
         packed = _pack_rows(work, self.words)
         # Forward sweep over the stored pivot columns: testing bit ``col`` of
         # every incoming row and XOR-ing the matching packed pivot rows in.
-        selected_mask = self.pivot_mask[indices]
+        selected_mask = self._pivot_mask[indices]
         for col in np.nonzero(selected_mask.any(axis=0))[0]:
             word, bit = divmod(int(col), _WORD_BITS)
             has_bit = (packed[:, word] >> np.uint64(bit)) & _ONE
@@ -193,7 +283,7 @@ class PackedGf2Eliminator(EliminatorState):
             if not live.any():
                 continue
             sel = np.nonzero(live)[0]
-            packed[sel] ^= self.rows[indices[sel], col]
+            packed[sel] ^= self._rows[indices[sel], col]
         masked = packed & self._pivot_words[np.newaxis, :]
         helpful = masked.any(axis=1)
         sel = np.nonzero(helpful)[0]
@@ -202,7 +292,7 @@ class PackedGf2Eliminator(EliminatorState):
             # GF(2) pivot is already 1, so there is nothing to normalise.
             new_pivots = _lowest_set_bit(masked[sel])
             problems = indices[sel]
-            stored = self.rows[problems]
+            stored = self._rows[problems]
             word_idx = (new_pivots // _WORD_BITS).astype(np.int64)
             bit_idx = (new_pivots % _WORD_BITS).astype(np.uint64)
             pivot_col_words = np.take_along_axis(
@@ -211,15 +301,13 @@ class PackedGf2Eliminator(EliminatorState):
             factors = (pivot_col_words >> bit_idx[:, np.newaxis]) & _ONE
             # Back-substitute: XOR the new row into every stored row holding
             # the new pivot bit (0/1 factors make the multiply a select).
-            self.rows[problems] = stored ^ (
+            self._rows[problems] = stored ^ (
                 factors[:, :, np.newaxis] * packed[sel][:, np.newaxis, :]
             )
-            self.rows[problems, new_pivots] = packed[sel]
-            self.pivot_mask[problems, new_pivots] = True
-            self.ranks[problems] += 1
-            if self._pivot_bits is not None:
-                for problem, pivot in zip(problems.tolist(), new_pivots.tolist()):
-                    self._pivot_bits[problem] |= 1 << pivot
+            self._rows[problems, new_pivots] = packed[sel]
+            self._pivot_mask[problems, new_pivots] = True
+            self._ranks[problems] += 1
+            self._refresh_ints(problems.tolist())
         return helpful
 
     def rank_of(self, index: int) -> int:
@@ -228,12 +316,14 @@ class PackedGf2Eliminator(EliminatorState):
 
     def basis(self, index: int) -> np.ndarray:
         """Stored RREF rows of one problem, pivot order, unpacked (a copy)."""
-        pivots = np.nonzero(self.pivot_mask[index])[0]
-        return _unpack_rows(self.rows[index, pivots], self.columns, self.field.dtype)
+        self._sync()
+        pivots = np.nonzero(self._pivot_mask[index])[0]
+        return _unpack_rows(self._rows[index, pivots], self.columns, self.field.dtype)
 
     def combine(self, index: int, coefficients: np.ndarray) -> np.ndarray:
         """Linear combination of one problem's stored rows (the encode step)."""
-        pivots = np.nonzero(self.pivot_mask[index])[0]
+        self._sync()
+        pivots = np.nonzero(self._pivot_mask[index])[0]
         coefficients = np.asarray(coefficients)
         if coefficients.shape != pivots.shape:
             raise FieldError(
@@ -242,38 +332,49 @@ class PackedGf2Eliminator(EliminatorState):
             )
         if pivots.size == 0:
             return self.field.zeros(self.columns)
-        selected = self.rows[index, pivots] * coefficients.astype(np.uint64)[
+        selected = self._rows[index, pivots] * coefficients.astype(np.uint64)[
             :, np.newaxis
         ]
         return _unpack_rows(
             np.bitwise_xor.reduce(selected, axis=0), self.columns, self.field.dtype
         )
 
-    def combine_one(self, index: int, coefficients: np.ndarray) -> int:
+    def combine_one(self, index: int, coefficients: "np.ndarray | int") -> int:
         """Encode step for one problem, returned as one packed python int.
 
         The packed twin of :meth:`combine`: same coefficient-per-pivot
         semantics (ascending pivot order), but the XOR-reduction runs on
-        arbitrary-precision ints and the dense unpack is skipped entirely.
-        The payload is only meaningful to :meth:`eliminate_one` on this
-        eliminator.
+        python ints and the dense unpack is skipped entirely.
+        ``coefficients`` is either the ``rank`` field elements or one int
+        whose bit ``j`` is the coefficient of the ``j``-th pivot (what
+        :meth:`~repro.core.rng.StreamDraws.bit_mask` draws).  The payload is
+        only meaningful to :meth:`eliminate_one` on this eliminator.
         """
-        index = int(index)
-        coefficients = np.asarray(coefficients)
-        rank = int(self.ranks[index])
-        if coefficients.shape != (rank,):
+        ints = self._ints if self._ints is not None else self._int_state()
+        bits = self._pivot_bits[index]
+        if not isinstance(coefficients, int):
+            coefficients = np.asarray(coefficients)
+            if coefficients.shape != (bits.bit_count(),):
+                raise FieldError(
+                    f"expected {bits.bit_count()} coefficients for problem "
+                    f"{index}, got {coefficients.shape}"
+                )
+            coefficients = _words_to_ints(
+                _pack_rows(coefficients[np.newaxis], self._mask_words)
+            )[0]
+        elif coefficients >> bits.bit_count():
             raise FieldError(
-                f"expected {rank} coefficients for problem {index}, "
-                f"got {coefficients.shape}"
+                f"coefficient mask {coefficients:#x} exceeds the "
+                f"{bits.bit_count()} pivots of problem {index}"
             )
-        bits = self._ensure_pivot_bits()[index]
-        rows = self.rows[index]
+        base = index * self.pivot_limit - 1
         acc = 0
-        for coefficient in coefficients.tolist():
-            col = (bits & -bits).bit_length() - 1
-            if coefficient:
-                acc ^= int.from_bytes(rows[col].tobytes(), "little")
-            bits &= bits - 1
+        while coefficients:
+            low = bits & -bits
+            if coefficients & 1:
+                acc ^= ints[base + low.bit_length()]
+            bits ^= low
+            coefficients >>= 1
         return acc
 
     def eliminate_one(self, index: int, payload: int) -> bool:
@@ -284,46 +385,33 @@ class PackedGf2Eliminator(EliminatorState):
         packing, no per-column numpy dispatch.  This is what keeps the
         event-driven engine's per-delivery cost in the microsecond range.
         """
-        index = int(index)
-        pivot_bits = self._ensure_pivot_bits()
-        bits = pivot_bits[index]
-        rows = self.rows[index]
-        eligible = self._eligible_int
-        # Forward sweep in ascending column order.  A stored RREF row's
-        # lowest set bit is its pivot, so XOR-ing it in clears exactly bit
-        # ``col`` and only ever flips higher bits — one left-to-right pass
-        # visits every column once.
-        x = int(payload)
-        new_pivot = -1
-        remaining = x & eligible
-        while remaining:
-            col = (remaining & -remaining).bit_length() - 1
-            if (bits >> col) & 1:
-                x ^= int.from_bytes(rows[col].tobytes(), "little")
-                remaining = x & eligible & (-1 << (col + 1))
-            else:
-                if new_pivot < 0:
-                    new_pivot = col
-                remaining &= remaining - 1
-        if new_pivot < 0:
+        ints = self._ints if self._ints is not None else self._int_state()
+        bits = self._pivot_bits[index]
+        base = index * self.pivot_limit - 1
+        # Forward sweep.  The stored rows are in RREF, so each one is zero in
+        # every other stored pivot column: XOR-ing it in clears exactly its
+        # own pivot bit, and the pivots to clear are those set on entry.
+        hits = payload & bits
+        while hits:
+            low = hits & -hits
+            payload ^= ints[base + low.bit_length()]
+            hits ^= low
+        residual = payload & self._eligible_int
+        if not residual:
             return False
-        # Back-substitute: XOR the reduced row into every stored row holding
-        # the new pivot bit, then store it keyed by its pivot column.
-        nbytes = self.words * 8
-        pivot_bit = 1 << new_pivot
+        # The new pivot is the lowest surviving eligible bit.  Back-substitute
+        # it out of every stored row, then store the row under it.
+        pivot_bit = residual & -residual
         scan = bits
         while scan:
-            col = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            stored = int.from_bytes(rows[col].tobytes(), "little")
-            if stored & pivot_bit:
-                rows[col] = np.frombuffer(
-                    (stored ^ x).to_bytes(nbytes, "little"), dtype=np.uint64
-                )
-        rows[new_pivot] = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint64)
-        self.pivot_mask[index, new_pivot] = True
-        self.ranks[index] += 1
-        pivot_bits[index] = bits | pivot_bit
+            low = scan & -scan
+            slot = base + low.bit_length()
+            if ints[slot] & pivot_bit:
+                ints[slot] ^= payload
+            scan ^= low
+        ints[base + pivot_bit.bit_length()] = payload
+        self._pivot_bits[index] = bits | pivot_bit
+        self._dirty[index] = 1
         return True
 
     def reset_problems(self, indices: np.ndarray) -> None:
@@ -333,13 +421,12 @@ class PackedGf2Eliminator(EliminatorState):
         :meth:`repro.gf.linalg.BatchEliminator.reset_problems` — the cleared
         problems behave exactly like freshly constructed ones.
         """
+        self._sync()
         indices = np.asarray(indices, dtype=np.int64)
-        self.rows[indices] = 0
-        self.pivot_mask[indices] = False
-        self.ranks[indices] = 0
-        if self._pivot_bits is not None:
-            for index in indices.tolist():
-                self._pivot_bits[index] = 0
+        self._rows[indices] = 0
+        self._pivot_mask[indices] = False
+        self._ranks[indices] = 0
+        self._refresh_ints(indices.tolist())
 
 
 class Gf2BitBackend(ComputeBackend):

@@ -20,6 +20,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..errors import SimulationError
+
 __all__ = [
     "DEFAULT_SEED",
     "make_rng",
@@ -27,11 +29,19 @@ __all__ = [
     "derive_rng",
     "spawn_rngs",
     "RngStreams",
+    "StreamDraws",
+    "BulkDraws",
 ]
 
 #: Seed used when the caller does not supply one.  Chosen arbitrarily but
 #: fixed so that "no seed" still means "reproducible".
 DEFAULT_SEED = 20110123  # the arXiv submission date of the paper (2011-01-23)
+
+#: ``next_uint32`` words a :class:`BulkDraws` source pulls per refill.
+DRAW_BLOCK = 4096
+
+_WORD = 1 << 32
+_LOW = _WORD - 1
 
 
 def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -107,3 +117,121 @@ class RngStreams:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RngStreams(seed={self.seed}, streams={sorted(self._cache)})"
+
+
+class StreamDraws:
+    """Bounded-integer draws issued on the generator one numpy call at a time.
+
+    The reference behaviour :class:`BulkDraws` replays, behind the same
+    interface.  Use it wherever other code draws from the same generator in
+    between (loss coins, weighted wakeups), which a bulk source cannot allow.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def __enter__(self) -> "StreamDraws":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def below(self, bound: int) -> int:
+        """One uniform integer in ``[0, bound)``: ``int(rng.integers(0, bound))``."""
+        return int(self.rng.integers(0, bound))
+
+    def bit_mask(self, count: int) -> int:
+        """``count`` uniform bits (GF(2) elements) packed as one int, draw ``j`` at bit ``j``."""
+        bits = self.rng.integers(0, 2, size=count, dtype=np.int64).astype(np.uint8)
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    def elements(self, field, count: int) -> np.ndarray:
+        """``field.random_elements(rng, count)``."""
+        return field.random_elements(self.rng, count)
+
+
+class BulkDraws(StreamDraws):
+    """:class:`StreamDraws`, replayed in python from bulk blocks of raw words.
+
+    For ``bound < 2**32`` numpy's ``Generator.integers(0, bound)`` (int64,
+    scalar or sized) is Lemire's multiply-and-reject on the bit generator's
+    buffered ``next_uint32`` words, and ``bound == 1`` draws nothing, while
+    ``integers(0, 2**32, size=B, dtype=np.uint32)`` returns exactly the next
+    ``B`` of those words.  This source pulls :data:`DRAW_BLOCK` words at a time
+    and replays the bounded draws on python ints, so a hot loop pays no numpy
+    call per draw; a GF(2) draw is the top bit of its word.
+
+    Use it as a context manager, and draw nothing else from ``rng`` inside.
+    On exit, also by exception, the generator is rewound to its entry state
+    and advanced by exactly the words consumed, in chunks of at most one
+    block, so its state (the pending ``has_uint32`` half-word included) is
+    what the same draws issued per call would leave.  ``tests/test_rng_stream
+    .py`` pins each of these stream facts against the installed numpy.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        super().__init__(rng)
+        self._words: list[int] = []
+        self._tops = 0  # bit t is the top bit of self._words[t]
+        self._next = 0
+        self._pulled = 0
+
+    def __enter__(self) -> "BulkDraws":
+        self._entry = self.rng.bit_generator.state
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        consumed = self._pulled - len(self._words) + self._next
+        self.rng.bit_generator.state = self._entry
+        while consumed > 0:
+            chunk = min(consumed, DRAW_BLOCK)
+            self.rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
+            consumed -= chunk
+        self._words, self._tops, self._next, self._pulled = [], 0, 0, 0
+
+    def _refill(self) -> None:
+        block = self.rng.integers(0, _WORD, size=DRAW_BLOCK, dtype=np.uint32)
+        self._words = block.tolist()
+        tops = np.packbits((block >> 31).astype(np.uint8), bitorder="little")
+        self._tops = int.from_bytes(tops.tobytes(), "little")
+        self._next = 0
+        self._pulled += DRAW_BLOCK
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._refill()
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def below(self, bound: int) -> int:
+        if not 1 < bound < _WORD:
+            if bound == 1:
+                return 0
+            raise SimulationError(
+                f"bulk draws replay bounds in [1, 2**32) only, got {bound}"
+            )
+        index = self._next
+        if index == len(self._words):
+            self._refill()
+            index = 0
+        product = self._words[index] * bound
+        self._next = index + 1
+        if product & _LOW < bound:
+            threshold = _WORD % bound
+            while product & _LOW < threshold:
+                product = self._word() * bound
+        return product >> 32
+
+    def bit_mask(self, count: int) -> int:
+        start = self._next
+        if start + count <= len(self._words):
+            self._next = start + count
+            return (self._tops >> start) & ((1 << count) - 1)
+        mask = 0
+        for bit in range(count):
+            mask |= (self._word() >> 31) << bit
+        return mask
+
+    def elements(self, field, count: int) -> np.ndarray:
+        order = field.order
+        return np.array([self.below(order) for _ in range(count)], dtype=field.dtype)

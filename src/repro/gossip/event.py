@@ -32,15 +32,18 @@ Bit-identical by construction
 Like the batch engines, this engine is a *pure optimisation*: given the same
 per-trial generator it emits exactly the
 :class:`~repro.core.results.RunResult` the scalar engine would.  The
-asynchronous wakeup draw is delegated to the very same
-:class:`~repro.gossip.dynamics.NodeDynamics` methods (for uniform clocks,
+asynchronous wakeup draw is the one
+:class:`~repro.gossip.dynamics.NodeDynamics` issues (for uniform clocks,
 ``rng.integers(0, n)`` *is* the embedded jump chain of ``n`` i.i.d.
 exponential node clocks, so the per-node-clock view and the paper's
 one-uniform-node-per-slot view are the same process draw for draw); partner
 selection indexes the same sorted neighbour tuples; coefficients are drawn
 against the canonical RREF basis, whose uniqueness makes every encoded packet
 and helpfulness flag coincide with the scalar decoder's; churn kills a
-transmission before the loss draw, consuming no randomness.
+transmission before the loss draw, consuming no randomness.  When the stream
+holds only bounded-integer draws (no loss, no churn, uniform clocks) they are
+replayed in python from bulk blocks by :class:`~repro.core.rng.BulkDraws`,
+which leaves the generator exactly where per-call draws would.
 ``tests/test_event_engine.py`` asserts the equivalence per seed over both
 time models, churn (pause *and* reset), heterogeneous rates and packet loss.
 
@@ -64,6 +67,7 @@ import numpy as np
 
 from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult
+from ..core.rng import BulkDraws, StreamDraws
 from ..errors import EngineError, SimulationError
 from ..graphs.csr import CSRGraph
 from ..graphs.topologies import csr_adjacency
@@ -192,8 +196,10 @@ class EventGossipEngine:
         self._eliminator = resolve_backend(None).make_eliminator(
             self._field, self._n, self._k
         )
-        self._ranks = self._eliminator.ranks  # live view
         self._one_index = np.zeros(1, dtype=np.int64)
+        action = process.action
+        self._do_push = action in (GossipAction.PUSH, GossipAction.EXCHANGE)
+        self._do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
         self._messages_sent = 0
         self._helpful_messages = 0
         self._dropped_messages = 0
@@ -203,7 +209,9 @@ class EventGossipEngine:
         self._dynamics = NodeDynamics(config, self._nodes)
         self._last_crash_round = 0
         self._completion_rounds: dict[int, int] = {}
-        self._noted = np.zeros(self._n, dtype=bool)
+        # Per-position ranks as python ints (the hot loop's view; a node is
+        # finished exactly when its rank is k).
+        self._ranks: list[int] = []
         self._finished = 0
         self._seed_from_process()
 
@@ -240,25 +248,33 @@ class EventGossipEngine:
             ]
             rows = np.stack([initial_rows[problem][depth] for problem in indices])
             self._eliminator.eliminate(rows, np.asarray(indices, dtype=np.int64))
-        for position in np.nonzero(self._ranks == self._k)[0]:
-            self._note_completion(int(position), 0)
+        self._ranks = self._eliminator.ranks.tolist()
+        for position, rank in enumerate(self._ranks):
+            if rank == self._k:
+                self._note_completion(position, 0)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Run the trial to completion (or to the ``max_rounds`` limit)."""
-        if self.config.time_model is TimeModel.SYNCHRONOUS:
-            rounds = self._run_synchronous()
-        else:
-            rounds = self._run_asynchronous()
+        # With only bounded-integer draws in the stream they are replayed
+        # from bulk blocks; loss coins and dynamic wakeups draw per call.
+        exact = self._loss_probability == 0 and not self._dynamics.active
+        with (BulkDraws if exact else StreamDraws)(self.rng) as draws:
+            if self.config.time_model is TimeModel.SYNCHRONOUS:
+                rounds = self._run_synchronous(draws)
+            else:
+                rounds = self._run_asynchronous(draws)
         completed = self._finished == self._n
         if not completed and not self.config.allow_incomplete:
             raise SimulationError(
                 f"protocol did not complete within {self.config.max_rounds} rounds"
             )
         metadata = dict(self.process.metadata())
-        metadata["min_rank"] = int(self._ranks.min())
+        # Reading the eliminator's arrays brings them up to date with the
+        # packets the run absorbed.
+        metadata["min_rank"] = int(self._eliminator.ranks.min())
         if self._loss_probability > 0:
             metadata.setdefault("dropped_messages", self._dropped_messages)
         if self._dynamics.has_churn:
@@ -278,62 +294,56 @@ class EventGossipEngine:
     # ------------------------------------------------------------------
     # Time models
     # ------------------------------------------------------------------
-    def _run_asynchronous(self) -> int:
-        from ..backends.accel import async_event_kernel
-
-        kernel = async_event_kernel(self)
-        if kernel is not None:
-            return kernel()
-        round_index = 0
-        max_timeslots = self.config.max_rounds * self._n
-        dynamics = self._dynamics
-        rng = self.rng
-        indptr, indices = self._indptr, self._indices
-        action = self.process.action
-        do_push = action in (GossipAction.PUSH, GossipAction.EXCHANGE)
-        do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
-        has_churn = dynamics.has_churn
+    def _run_asynchronous(self, draws: StreamDraws) -> int:
         n = self._n
-        while self._finished < n:
-            if self._timeslot >= max_timeslots:
-                return round_index
-            round_now = self._timeslot // n + 1
-            self._process_crashes(round_now)
-            down = dynamics.down_mask(round_now) if has_churn else None
-            pos = dynamics.choose_wakeup(rng, round_now, down)
-            self._timeslot += 1
-            round_index = round_now
-            if pos is None:
-                continue
+        max_timeslots = self.config.max_rounds * n
+        dynamics = self._dynamics
+        active, has_churn = dynamics.active, dynamics.has_churn
+        rng, below = self.rng, draws.below
+        indptr, indices = memoryview(self._indptr), memoryview(self._indices)
+        do_push, do_pull = self._do_push, self._do_pull
+        encode, deliver = self._packet_path(draws)
+        timeslot = self._timeslot
+        round_now = 0
+        down = None
+        while self._finished < n and timeslot < max_timeslots:
+            round_now = timeslot // n + 1
+            timeslot += 1
+            if active:
+                self._process_crashes(round_now)
+                down = dynamics.down_mask(round_now) if has_churn else None
+                pos = dynamics.choose_wakeup(rng, round_now, down)
+                if pos is None:
+                    continue
+            else:
+                pos = below(n)
             start = indptr[pos]
-            degree = int(indptr[pos + 1] - start)
-            partner = int(indices[start + int(rng.integers(0, degree))])
+            partner = indices[start + below(indptr[pos + 1] - start)]
             # Both packets are built before either is delivered, matching the
             # scalar on_wakeup (PUSH draws first, then PULL).
-            row_push = self._encode(pos) if do_push else None
-            row_pull = self._encode(partner) if do_pull else None
+            row_push = encode(pos) if do_push else None
+            row_pull = encode(partner) if do_pull else None
             if row_push is not None:
-                self._deliver(pos, partner, row_push, round_now, down)
+                deliver(pos, partner, row_push, round_now, down)
             if row_pull is not None:
-                self._deliver(partner, pos, row_pull, round_now, down)
-        return round_index
+                deliver(partner, pos, row_pull, round_now, down)
+        self._timeslot = timeslot
+        return round_now
 
-    def _run_synchronous(self) -> int:
-        round_index = 0
-        dynamics = self._dynamics
-        rng = self.rng
-        indptr, indices = self._indptr, self._indices
-        action = self.process.action
-        do_push = action in (GossipAction.PUSH, GossipAction.EXCHANGE)
-        do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
-        has_churn = dynamics.has_churn
+    def _run_synchronous(self, draws: StreamDraws) -> int:
         n = self._n
-        while self._finished < n:
-            if round_index >= self.config.max_rounds:
-                return round_index
+        dynamics = self._dynamics
+        below = draws.below
+        indptr, indices = memoryview(self._indptr), memoryview(self._indices)
+        do_push, do_pull = self._do_push, self._do_pull
+        encode, deliver = self._packet_path(draws)
+        round_index = 0
+        down = None
+        while self._finished < n and round_index < self.config.max_rounds:
             round_index += 1
             self._process_crashes(round_index)
-            down = dynamics.down_mask(round_index) if has_churn else None
+            if dynamics.has_churn:
+                down = dynamics.down_mask(round_index)
             # Wakeup phase: all partner/coefficient draws against committed
             # state, transmissions bucketed for the round boundary.
             bucket: list[tuple[int, int, object]] = []
@@ -341,10 +351,9 @@ class EventGossipEngine:
                 if down is not None and down[pos]:
                     continue
                 start = indptr[pos]
-                degree = int(indptr[pos + 1] - start)
-                partner = int(indices[start + int(rng.integers(0, degree))])
-                row_push = self._encode(pos) if do_push else None
-                row_pull = self._encode(partner) if do_pull else None
+                partner = indices[start + below(indptr[pos + 1] - start)]
+                row_push = encode(pos) if do_push else None
+                row_pull = encode(partner) if do_pull else None
                 if row_push is not None:
                     bucket.append((pos, partner, row_push))
                 if row_pull is not None:
@@ -352,50 +361,55 @@ class EventGossipEngine:
             self._timeslot += n
             # Deliveries become visible only now: end of the round.
             for sender, receiver, row in bucket:
-                self._deliver(sender, receiver, row, round_index, down)
+                deliver(sender, receiver, row, round_index, down)
         return round_index
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _encode(self, pos: int):
-        """One freshly coded packet of the node at ``pos`` (or ``None``).
+    def _packet_path(self, draws: StreamDraws):
+        """The ``encode`` / ``deliver`` steps both time models share.
 
-        The payload is whatever the backend's ``combine_one`` hands back — a
-        packed python int for gf2bit, a dense row elsewhere — and is only
-        ever fed to the same eliminator's ``eliminate_one``.
+        ``encode(pos)`` is one freshly coded packet of the node at ``pos``
+        (``None`` at rank 0): whatever the backend's ``combine_one`` hands
+        back — a packed python int for gf2bit, a dense row elsewhere — and
+        only ever fed to the same eliminator's ``eliminate_one``.
         """
-        rank = int(self._ranks[pos])
-        if rank == 0:
-            return None
-        coefficients = self._field.random_elements(self.rng, rank)
-        return self._eliminator.combine_one(pos, coefficients)
+        from ..backends.gf2bit import PackedGf2Eliminator
 
-    def _deliver(
-        self,
-        sender_pos: int,
-        receiver_pos: int,
-        row: object,
-        round_index: int,
-        down: np.ndarray | None,
-    ) -> None:
-        self._messages_sent += 1
-        # A down endpoint kills the transmission before it enters the lossy
-        # channel, so churn consumes no loss-randomness.
-        if down is not None and (down[sender_pos] or down[receiver_pos]):
-            self._churn_dropped += 1
-            return
-        if self._loss_probability > 0 and self.rng.random() < self._loss_probability:
-            self._dropped_messages += 1
-            return
-        helpful = self._eliminator.eliminate_one(receiver_pos, row)
-        if helpful:
-            self._helpful_messages += 1
-            if self._ranks[receiver_pos] == self._k and not self._noted[receiver_pos]:
-                self._note_completion(receiver_pos, round_index)
+        eliminator, ranks, k = self._eliminator, self._ranks, self._k
+        combine_one, eliminate_one = eliminator.combine_one, eliminator.eliminate_one
+        if isinstance(eliminator, PackedGf2Eliminator):
+            coefficients = draws.bit_mask
+        else:
+            field = self._field
+
+            def coefficients(count: int) -> np.ndarray:
+                return draws.elements(field, count)
+
+        rng, loss = self.rng, self._loss_probability
+
+        def encode(pos: int):
+            rank = ranks[pos]
+            return combine_one(pos, coefficients(rank)) if rank else None
+
+        def deliver(sender: int, receiver: int, row, round_index: int, down) -> None:
+            self._messages_sent += 1
+            # A down endpoint kills the transmission before it enters the
+            # lossy channel, so churn consumes no loss-randomness.
+            if down is not None and (down[sender] or down[receiver]):
+                self._churn_dropped += 1
+            elif loss > 0 and rng.random() < loss:
+                self._dropped_messages += 1
+            elif eliminate_one(receiver, row):
+                self._helpful_messages += 1
+                ranks[receiver] += 1
+                if ranks[receiver] == k:
+                    self._note_completion(receiver, round_index)
+
+        return encode, deliver
 
     def _note_completion(self, pos: int, round_index: int) -> None:
-        self._noted[pos] = True
         self._finished += 1
         self._completion_rounds[self._nodes[pos]] = round_index
 
@@ -418,8 +432,7 @@ class EventGossipEngine:
         end of the crash round, as we do here.
         """
         node = self._nodes[pos]
-        if self._noted[pos]:
-            self._noted[pos] = False
+        if self._ranks[pos] == self._k:
             self._finished -= 1
         self._completion_rounds.pop(node, None)
         self._one_index[0] = pos
@@ -428,6 +441,7 @@ class EventGossipEngine:
             unit = self._field.zeros((1, self._k))
             unit[0, int(message_index)] = 1
             self._eliminator.eliminate(unit, self._one_index)
+        self._ranks[pos] = self._eliminator.rank_of(pos)
         if self._ranks[pos] == self._k:
             self._note_completion(pos, round_index)
 

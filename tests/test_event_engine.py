@@ -5,12 +5,15 @@ Three layers of guarantees:
 * **Equivalence matrix** — on small graphs the event engine reproduces the
   scalar engine's :class:`~repro.core.results.RunResult` *exactly* (every
   field, every trial) across both time models, PUSH/PULL/EXCHANGE, packet
-  loss, pause- and reset-mode churn, heterogeneous activation rates and both
-  compute backends.
+  loss, pause- and reset-mode churn, heterogeneous activation rates, runs
+  cut by ``max_rounds`` and both compute backends, and leaves the generator
+  where the scalar engine leaves it, also when its draws cross many bulk
+  draw blocks.
 * **Hot-path conformance** — the single-problem ``combine_one`` /
-  ``eliminate_one`` fast paths of both shipped eliminators hold state
-  identical to the batched ``eliminate`` reference on random traces, and
-  ``reset_problems`` returns problems to a freshly-constructed state.
+  ``eliminate_one`` fast paths of both shipped eliminators, interleaved
+  with every batch-side method, hold state identical to the batched
+  ``eliminate`` reference on random traces, and ``reset_problems`` returns
+  problems to a freshly-constructed state.
 * **Typed refusals and dispatch** — unsupported protocol/engine pairings
   fail eagerly with :class:`~repro.errors.EngineError` /
   :class:`~repro.errors.ConfigurationError` (never a silent fallback), the
@@ -20,6 +23,8 @@ Three layers of guarantees:
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -93,6 +98,56 @@ EQUIVALENCE_CASES = {
         k=6,
         backend="gf2bit",
         config=ASYNC.replace(field_size=2, churn=((4, 3, 9),), churn_reset=True),
+    ),
+    # Leaves make degree-1 partner picks, which draw nothing.
+    "gf2bit-line": dict(
+        topology="line", n=16, k=8, backend="gf2bit", config=ASYNC.replace(field_size=2)
+    ),
+    "gf2bit-binary-tree": dict(
+        topology="binary_tree",
+        n=16,
+        k=8,
+        backend="gf2bit",
+        config=ASYNC.replace(field_size=2),
+    ),
+    "gf2bit-async-push": dict(
+        topology="grid",
+        n=16,
+        k=8,
+        backend="gf2bit",
+        config=ASYNC.replace(field_size=2, action=GossipAction.PUSH),
+    ),
+    "gf2bit-async-pull": dict(
+        topology="grid",
+        n=16,
+        k=8,
+        backend="gf2bit",
+        config=ASYNC.replace(field_size=2, action=GossipAction.PULL),
+    ),
+    "gf2bit-async-exchange": dict(
+        topology="complete",
+        n=16,
+        k=8,
+        backend="gf2bit",
+        config=ASYNC.replace(field_size=2, action=GossipAction.EXCHANGE),
+    ),
+    "gf2bit-sync": dict(
+        topology="ring", n=16, k=8, backend="gf2bit", config=SYNC.replace(field_size=2)
+    ),
+    # Cut by max_rounds mid-trial.
+    "gf2bit-truncated-async": dict(
+        topology="erdos_renyi_logn",
+        n=32,
+        k=8,
+        backend="gf2bit",
+        config=ASYNC.replace(field_size=2, max_rounds=2, allow_incomplete=True),
+    ),
+    "gf2bit-truncated-sync": dict(
+        topology="erdos_renyi_logn",
+        n=32,
+        k=8,
+        backend="gf2bit",
+        config=SYNC.replace(field_size=2, max_rounds=2, allow_incomplete=True),
     ),
 }
 
@@ -169,6 +224,43 @@ def test_event_engine_direct_construction_matches_scalar():
         process = materialized.build_process(rng)
         results.append(engine_cls(materialized.graph, process, spec.config, rng).run())
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "case", ["gf2bit-er-logn", "gf2bit-sync", "async-grid", "sync-ring"], ids=str
+)
+def test_event_engine_matches_scalar_across_draw_blocks(case, monkeypatch):
+    """Tiny draw blocks make every trial cross many block boundaries."""
+    from repro.core import rng as rng_module
+    from repro.core.rng import BulkDraws
+
+    refills = []
+    refill = BulkDraws._refill
+    monkeypatch.setattr(rng_module, "DRAW_BLOCK", 5)
+    monkeypatch.setattr(
+        BulkDraws, "_refill", lambda draws: (refills.append(1), refill(draws))
+    )
+    spec = _spec(trials=3, seed=20260808, **EQUIVALENCE_CASES[case])
+    assert _measure(spec, "scalar") == _measure(spec, "event")
+    assert len(refills) > 3 * 10
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES), ids=str)
+def test_event_engine_leaves_the_generator_where_scalar_does(case):
+    """Engine-level: same result, then the same next draws from the generator."""
+    from repro.gossip import GossipEngine
+
+    spec = _spec(trials=1, seed=4, **EQUIVALENCE_CASES[case])
+    outcomes = []
+    with use_backend(spec.backend or "numpy"):
+        materialized = spec.materialize()
+        for engine_cls in (GossipEngine, EventGossipEngine):
+            rng = derive_rng(4, "trial-0")
+            process = materialized.build_process(rng)
+            result = engine_cls(materialized.graph, process, spec.config, rng).run()
+            outcomes.append((result, int(rng.integers(0, 2**32)), rng.random()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].completed != spec.config.allow_incomplete
 
 
 def test_event_engine_timeout_matches_scalar():
@@ -286,7 +378,12 @@ def _random_payload(field, rng, columns):
 def test_single_problem_fast_paths_match_bulk_eliminate(
     compute_backend, backend_field, columns, augmented
 ):
-    """combine_one/eliminate_one hold state identical to eliminate()."""
+    """combine_one/eliminate_one interleaved with every batch-side method.
+
+    The state must match a reference fed through ``eliminate`` only, after
+    every step.  It is read from a deep copy, so the check itself never
+    brings the eliminator's arrays up to date behind the next step's back.
+    """
     field = backend_field
     batch = 4
     fast = compute_backend.make_eliminator(
@@ -294,30 +391,46 @@ def test_single_problem_fast_paths_match_bulk_eliminate(
     )
     reference = BatchEliminator(field, batch, columns, augmented_columns=augmented)
     rng = np.random.default_rng(99)
-    for step in range(120):
+    for step in range(200):
         index = int(rng.integers(0, batch))
+        one = np.array([index])
         draw = np.random.default_rng(1000 + step)
-        if rng.random() < 0.3 and reference.ranks[index] > 0:
-            coefficients = field.random_elements(draw, int(reference.ranks[index]))
+        rank = int(reference.ranks[index])
+        op = ("encode", "deliver", "eliminate", "basis", "combine", "reset")[
+            int(rng.choice(6, p=[0.25, 0.3, 0.15, 0.1, 0.1, 0.1]))
+        ]
+        if op in ("encode", "combine") and rank == 0:
+            op = "deliver"
+        if op == "encode":
+            coefficients = field.random_elements(draw, rank)
             payload = fast.combine_one(index, coefficients)
             dense = reference.combine(index, coefficients)
-            helpful = fast.eliminate_one(index, payload)
-            expected = bool(
-                reference.eliminate(dense[np.newaxis, :], np.array([index]))[0]
+            expected = bool(reference.eliminate(dense[np.newaxis, :], one)[0])
+            assert fast.eliminate_one(index, payload) == expected
+        elif op == "deliver":
+            row = _random_payload(field, draw, columns)
+            expected = bool(reference.eliminate(row[np.newaxis, :], one)[0])
+            assert fast.eliminate_one(index, _as_native(fast, row)) == expected
+        elif op == "eliminate":
+            indices = rng.permutation(batch)[: int(rng.integers(1, batch + 1))]
+            rows = field.random_elements(draw, (indices.size, columns))
+            helpful = fast.eliminate(rows, indices)
+            assert np.array_equal(helpful, reference.eliminate(rows, indices))
+        elif op == "basis":
+            assert np.array_equal(fast.basis(index), reference.basis(index))
+        elif op == "combine":
+            coefficients = field.random_elements(draw, rank)
+            assert np.array_equal(
+                fast.combine(index, coefficients), reference.combine(index, coefficients)
             )
         else:
-            row = _random_payload(field, draw, columns)
-            helpful = fast.eliminate_one(index, _as_native(fast, row))
-            expected = bool(
-                reference.eliminate(row[np.newaxis, :], np.array([index]))[0]
-            )
-        assert helpful == expected
-        if rng.random() < 0.08:
-            fast.reset_problems(np.array([index]))
-            reference.reset_problems(np.array([index]))
-        assert np.array_equal(fast.ranks, reference.ranks)
+            fast.reset_problems(one)
+            reference.reset_problems(one)
+        snapshot = copy.deepcopy(fast)
+        assert np.array_equal(snapshot.ranks, reference.ranks)
+        assert np.array_equal(snapshot.pivot_mask, reference.pivot_mask)
         for problem in range(batch):
-            assert np.array_equal(fast.basis(problem), reference.basis(problem))
+            assert np.array_equal(snapshot.basis(problem), reference.basis(problem))
 
 
 def _as_native(eliminator, row):
@@ -328,6 +441,25 @@ def _as_native(eliminator, row):
         packed = np.packbits(row.astype(np.uint8), bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")
     return row
+
+
+def test_packed_combine_one_takes_coefficient_masks():
+    """Bit j of a mask is the coefficient of the j-th pivot; wider masks refuse."""
+    from repro.backends.gf2bit import PackedGf2Eliminator
+    from repro.errors import FieldError
+
+    field = GF(2)
+    eliminator = PackedGf2Eliminator(field, 2, 70)
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        eliminator.eliminate(field.random_elements(rng, (1, 70)), np.array([1]))
+    rank = eliminator.rank_of(1)
+    for _ in range(20):
+        coefficients = field.random_elements(rng, rank)
+        mask = sum(int(bit) << j for j, bit in enumerate(coefficients))
+        assert eliminator.combine_one(1, mask) == eliminator.combine_one(1, coefficients)
+    with pytest.raises(FieldError, match="exceeds"):
+        eliminator.combine_one(1, 1 << rank)
 
 
 def test_reset_problems_restores_fresh_state(compute_backend, backend_field):
