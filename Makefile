@@ -47,7 +47,8 @@ bench-json:
 	@ls -l benchmarks/output/BENCH_*.json
 
 ## Perf-trajectory guard: fails if any committed BENCH_*.json record's batch
-## speedup sits below its asserted floor (or if no records exist at all).
+## speedup sits below its asserted floor (or if no records exist at all), or
+## if the engine-choice crossover record is missing or malformed.
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
@@ -65,13 +66,14 @@ backend-check:
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite
 ## (event vs scalar bit-identity over both time models, churn, rates, loss;
 ## single-problem eliminator fast paths; typed EngineError refusals), the
-## pinned numpy RNG-stream facts the bulk draw source replays, plus a
+## pinned numpy RNG-stream facts the bulk draw source replays, the auto
+## engine choice (which family each runner picks, bit-identically), plus a
 ## scaled-down run of the crossover benchmark proving the event engine is
 ## faster than the lockstep batch engine *and* bit-identical to it.  The
 ## full-size >=1.5x floor at n=4096 is asserted by `make bench-json` / the
 ## committed BENCH record.
 event-check:
-	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_rng_stream.py -q
+	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_rng_stream.py tests/test_engine_choice.py -q
 	REPRO_BENCH_EVENT_MAX_N=512 REPRO_BENCH_EVENT_TRIALS=2 REPRO_BENCH_EVENT_MIN_SPEEDUP=1.2 \
 		$(PYTHON) -m pytest benchmarks/bench_event_engine.py --benchmark-only -q
 

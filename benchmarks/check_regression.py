@@ -9,6 +9,11 @@ asserted floor (``min_speedup``, default 5.0).  Run it standalone or via
 
     python benchmarks/check_regression.py
 
+The engine-choice crossover record (``BENCH_E15-engine-choice.json``,
+written by ``bench_engine_choice.py``) is the exception: its ratios are the
+data the auto engine choice is fitted from, not floors, so only its presence
+and schema are checked.
+
 Exit code 0 when every record holds, 1 on any regression or when no records
 exist (an empty perf trajectory is itself a regression).
 
@@ -31,6 +36,35 @@ from pathlib import Path
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 DEFAULT_FLOOR = 5.0
+
+#: The crossover record and the fields each of its rows must carry.
+CROSSOVER_RECORD = "BENCH_E15-engine-choice.json"
+CROSSOVER_ROW_FIELDS = {
+    "config": str, "backend": str, "field_size": int, "time_model": str,
+    "n": int, "k": int, "trials": int, "batch_s": float, "event_s": float,
+    "batch_over_event": float, "identical": bool, "auto": str,
+}
+
+
+def crossover_problems(record: dict) -> list[str]:
+    """Schema violations of the crossover record (empty when it is sound)."""
+    problems = []
+    if not isinstance(record.get("event_sync_max_k"), int):
+        problems.append("event_sync_max_k missing or not an integer")
+    rows = record.get("rows")
+    if not isinstance(rows, list) or not rows:
+        return problems + ["rows missing or empty"]
+    for index, row in enumerate(rows):
+        for name, kind in CROSSOVER_ROW_FIELDS.items():
+            value = row.get(name) if isinstance(row, dict) else None
+            if not isinstance(value, kind):
+                problems.append(f"row {index}: {name} missing or not {kind.__name__}")
+        if isinstance(row, dict):
+            if row.get("identical") is not True:
+                problems.append(f"row {index}: engines did not return equal results")
+            if row.get("auto") not in ("event", "batch", "scalar"):
+                problems.append(f"row {index}: auto is not an engine family")
+    return problems
 
 
 def store_aggregates(path: Path) -> int:
@@ -98,7 +132,20 @@ def main() -> int:
         print(f"error: no BENCH_*.json records under {OUTPUT_DIR}", file=sys.stderr)
         return 1
     failures = 0
+    if CROSSOVER_RECORD not in {path.name for path in records}:
+        print(f"{CROSSOVER_RECORD}: missing FAIL")
+        failures += 1
     for path in records:
+        if path.name == CROSSOVER_RECORD:
+            try:
+                problems = crossover_problems(json.loads(path.read_text(encoding="utf-8")))
+            except (OSError, ValueError, AttributeError) as error:
+                problems = [f"unreadable record ({type(error).__name__}: {error})"]
+            for problem in problems:
+                print(f"{path.name}: {problem} FAIL")
+            print(f"{path.name}: schema {'FAIL' if problems else 'ok'}")
+            failures += bool(problems)
+            continue
         # A broken record is itself a failure to report, not a crash: keep
         # checking the remaining records so the output isolates the bad file.
         try:

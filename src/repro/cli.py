@@ -256,10 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--batch", action=argparse.BooleanOptionalAction, default=True,
         help=(
-            "run all trials through the protocol's vectorised batch engine "
-            "(uniform gossip, tag and tag-is all declare one — see "
-            "GossipProcess.batch_strategy); --no-batch forces the sequential "
-            "scalar engine (same results, slower)"
+            "let the auto engine choice run the trials on a fast engine (the "
+            "event engine for gf2bit uniform gossip, else the protocol's "
+            "vectorised batch engine — see choose_engine); --no-batch forces "
+            "the sequential scalar engine (same results, slower) and refuses "
+            "--engine batch/event"
         ),
     )
     run_parser.add_argument(
@@ -278,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(lockstep vectorised trials) or event (event-driven sparse "
             "engine for large n); engines are bit-identical, so this changes "
             "wall-clock only — an engine that cannot run the workload "
-            "refuses instead of falling back (default: auto-select)"
+            "refuses instead of falling back (default: auto-select, see "
+            "--batch)"
         ),
     )
     run_parser.add_argument(
@@ -826,7 +828,7 @@ def _run_scenario_spec(
         return 2
     if trials == 1:
         with _profiled(profile):
-            result = scenario.run_single(store=store, fresh=fresh)
+            result = scenario.run_single(store=store, fresh=fresh, batch=batch)
         print(f"{title}: {result.summary()}")
         for key, value in sorted(result.metadata.items()):
             print(f"  {key}: {value}")

@@ -7,15 +7,16 @@ increasingly aggressive — but **bit-identical** — ways of running them:
 * :func:`~repro.analysis.stopping_time.measure_protocol` (sequential, in
   :mod:`repro.analysis.stopping_time`): one
   :class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders.
-* :func:`measure_protocol_batched` / :func:`run_trials_batched`: all trials
-  in one vectorised batch engine when the protocol declares one through
+* :func:`measure_protocol_batched` / :func:`run_trials_batched`: the trials
+  on the engine :func:`choose_engine` picks — the event-driven engine for
+  gf2bit uniform algebraic gossip, else one vectorised batch engine when the
+  protocol declares one through
   :meth:`~repro.gossip.engine.GossipProcess.batch_strategy` (uniform
   algebraic gossip, TAG with every built-in spanning-tree protocol, and
-  standalone spanning-tree broadcasts all do), falling back to the
-  sequential engine otherwise.
+  standalone spanning-tree broadcasts all do), else the sequential engine.
 * :func:`measure_protocol_parallel` / :func:`run_trials_parallel`: the trial
   set split across worker processes with a ``ProcessPoolExecutor``, each
-  worker running the batched engine on its chunk.
+  worker running the chosen engine on its chunk.
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
 the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
@@ -40,10 +41,10 @@ from typing import Any, Iterator, Sequence
 
 import networkx as nx
 
-from ..core.config import SimulationConfig
+from ..core.config import SimulationConfig, TimeModel
 from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
-from ..errors import AnalysisError
+from ..errors import AnalysisError, EngineError
 from ..analysis.stopping_time import ProtocolFactory
 from ..gossip.batch import batch_supports_config
 from ..gossip.engine import BatchRunner, GossipEngine
@@ -54,6 +55,8 @@ __all__ = [
     "measure_protocol_parallel",
     "run_trials_parallel",
     "scenario_batch_strategy",
+    "choose_engine",
+    "EVENT_SYNC_MAX_K",
     "shared_process_pool",
     "default_jobs",
 ]
@@ -228,6 +231,112 @@ def scenario_batch_strategy(scenario: Any) -> BatchRunner | None:
     return probe.batch_strategy()
 
 
+#: Largest generation size ``k`` at which auto-selection still sends
+#: *synchronous* gf2bit uniform algebraic gossip to the event engine.
+#: Fitted from ``benchmarks/output/BENCH_E15-engine-choice.json`` (batch s /
+#: event s, one cold run each on a shared 2-core host, equal results on
+#: every row; ``benchmarks/bench_engine_choice.py`` rewrites it):
+#:
+#: ===============================================  ==========================
+#: synchronous config                               batch / event
+#: ===============================================  ==========================
+#: complete n=128 k=16 / grid n=64 k=8              5.6x / 8.6x
+#: complete, line n=16 k=8                          6.3x, 7.6x
+#: k=64: complete n=128 / grid n=256 / ring n=64    1.24x / 1.13x / 1.74x
+#: k=128: complete n=128 / grid n=256               1.26x / 0.78x (0.89-1.07x
+#:                                                  over three more runs)
+#: grid n=k=256                                     0.79x (batch wins)
+#: ===============================================  ==========================
+#:
+#: A synchronous round lets the batch engine vectorise every node's
+#: elimination at once, while the event engine's per-delivery step grows
+#: with ``k``; by ``k = 128`` the two are within host noise.  Asynchronous
+#: runs favour the event engine at every measured size (4.3-4.8x with loss,
+#: pause churn or two-speed rates, 18x at grid n=k=256), so no cut-off
+#: applies there.
+EVENT_SYNC_MAX_K = 128
+
+
+def _declared_traits(
+    graph: Any, protocol_factory: ProtocolFactory, seed: int
+) -> tuple[bool, int, bool]:
+    """``(rank_only, k, has_batch_strategy)`` of the factory's processes.
+
+    The scenario factories are known by type; any other factory is probed on
+    a throwaway process built from its own generator, so no trial stream is
+    consumed by the decision.
+    """
+    from ..scenarios.spec import SpanningTreeFactory, TagFactory, UniformGossipFactory
+
+    if isinstance(protocol_factory, UniformGossipFactory):
+        return True, protocol_factory.k, True
+    if isinstance(protocol_factory, (TagFactory, SpanningTreeFactory)):
+        return False, 0, True
+    probe = protocol_factory(graph, derive_rng(seed, "engine-probe"))
+    rank_only = bool(probe.supports_rank_only_batch())
+    k = probe.generation.k if rank_only else 0
+    return rank_only, k, probe.batch_strategy() is not None
+
+
+def _refuse_contradictory_flags(engine: str, batch: bool) -> None:
+    if not batch and engine in ("batch", "event"):
+        raise EngineError(
+            f"batch=False (--no-batch) contradicts engine={engine!r}; "
+            "drop one of the two"
+        )
+
+
+def choose_engine(
+    graph: Any,
+    protocol_factory: ProtocolFactory,
+    config: SimulationConfig,
+    *,
+    seed: int = 0,
+    engine: str = "",
+    batch: bool = True,
+    backend: str = "",
+) -> str:
+    """The engine family a set of trials runs on: ``event``, ``batch`` or ``scalar``.
+
+    The one dispatch rule behind every auto-selecting runner:
+
+    1. a pinned ``engine`` wins (the runners raise their typed refusals when
+       it cannot run the workload);
+    2. ``batch=False`` (``--no-batch``) means ``scalar``; combining it with a
+       pinned ``batch`` or ``event`` engine is contradictory and raises
+       :class:`~repro.errors.EngineError`;
+    3. ``event`` for rank-only uniform algebraic gossip on the ``gf2bit``
+       backend (``backend``, or the ambient one when empty), when the model
+       is asynchronous or ``k <= EVENT_SYNC_MAX_K``;
+    4. otherwise ``batch`` when the protocol declares a batch strategy and
+       :func:`~repro.gossip.batch.batch_supports_config` holds, else
+       ``scalar``.
+
+    Engines are bit-identical per trial stream, so the choice changes
+    wall-clock only.  The numpy backend keeps rule 4: there the event and
+    batch engines measured too close to call asynchronously, and batch wins
+    synchronously.  ``seed`` only keys the throwaway probe an unknown
+    factory needs; no trial generator is touched.
+    """
+    from ..backends import resolve_backend
+
+    _refuse_contradictory_flags(engine, batch)
+    if engine:
+        return engine
+    if not batch:
+        return "scalar"
+    rank_only, k, has_strategy = _declared_traits(graph, protocol_factory, seed)
+    if (
+        rank_only
+        and resolve_backend(backend or None).name == "gf2bit"
+        and (config.time_model is TimeModel.ASYNCHRONOUS or k <= EVENT_SYNC_MAX_K)
+    ):
+        return "event"
+    if has_strategy and batch_supports_config(config):
+        return "batch"
+    return "scalar"
+
+
 def _measure_trial_indices(
     graph: nx.Graph,
     protocol_factory: ProtocolFactory,
@@ -238,81 +347,68 @@ def _measure_trial_indices(
     backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
-    """Run the selected trial streams, batched when allowed and possible.
+    """Run the selected trial streams on the engine :func:`choose_engine` picks.
 
-    The sequential fallback builds each trial's process lazily, one at a
-    time, so a long non-batchable run never holds more than one set of
-    scalar decoders in memory.  Only the batch engine — which needs every
-    trial's state simultaneously by design — constructs all processes.
+    The sequential engine builds each trial's process lazily, one at a time,
+    so a long sequential run never holds more than one set of scalar
+    decoders in memory.  Only the batch engine — which needs every trial's
+    state simultaneously by design — constructs all processes.
 
     ``backend`` installs a compute backend for the duration of the runs
     (``""`` keeps the ambient one); since backends are bit-identical by
     contract, it affects wall-clock only, never the results.
 
-    ``engine`` pins the engine family: ``""`` (default) auto-selects as
-    described above, ``"scalar"`` forces the sequential engine, ``"batch"``
-    requires the batch fast path and ``"event"`` requires the event-driven
-    sparse engine.  Engines are bit-identical per trial stream, so pinning
-    affects wall-clock only; a pinned engine that cannot run the workload
-    raises :class:`~repro.errors.EngineError` — never a silent fallback.
+    ``engine`` pins the engine family: ``""`` (default) auto-selects,
+    ``"scalar"`` forces the sequential engine, ``"batch"`` requires the
+    batch fast path and ``"event"`` requires the event-driven sparse engine.
+    Engines are bit-identical per trial stream, so pinning affects
+    wall-clock only; a pinned engine that cannot run the workload raises
+    :class:`~repro.errors.EngineError` — never a silent fallback.
     """
     from ..backends import use_backend
-    from ..errors import EngineError
 
-    rngs = [derive_rng(seed, f"trial-{index}") for index in trial_indices]
-    if engine == "event":
-        from ..gossip.event import build_event_process, run_event_trials
+    with use_backend(backend):
+        engine = choose_engine(
+            graph, protocol_factory, config, seed=seed, engine=engine, batch=batch
+        )
+        rngs = [derive_rng(seed, f"trial-{index}") for index in trial_indices]
+        if engine == "event":
+            from ..gossip.event import build_event_process, run_event_trials
 
-        with use_backend(backend):
             processes = [
                 build_event_process(graph, protocol_factory, rng) for rng in rngs
             ]
             return run_event_trials(graph, processes, config, rngs)
-    from ..graphs.csr import CSRGraph
+        from ..graphs.csr import CSRGraph
 
-    if isinstance(graph, CSRGraph):
-        raise EngineError(
-            "a CSR-materialised scenario runs on the event-driven engine "
-            "only; pin engine='event' (or materialise through the networkx "
-            "pipeline for the scalar/batch engines)"
-        )
-    if engine == "scalar":
-        batch = False
-    require_batch = engine == "batch"
-    if require_batch:
-        if not batch_supports_config(config):
+        if isinstance(graph, CSRGraph):
             raise EngineError(
-                "the batch engines do not support this configuration "
-                "(reset-mode churn); drop engine='batch' or pick "
-                "'scalar'/'event'"
+                "a CSR-materialised scenario runs on the event-driven engine "
+                "only; pin engine='event' (or materialise through the networkx "
+                "pipeline for the scalar/batch engines)"
             )
-        batch = True
-    # Reset-mode churn is outside the batch support matrix: fall back to the
-    # scalar engine explicitly rather than letting a strategy fail mid-run.
-    if not batch_supports_config(config):
-        batch = False
-    results: list[RunResult] = []
-    remaining = list(rngs)
-    with use_backend(backend):
-        if batch and remaining:
-            first = protocol_factory(graph, remaining[0])
+        if engine == "batch":
+            if not batch_supports_config(config):
+                raise EngineError(
+                    "the batch engines do not support this configuration "
+                    "(reset-mode churn); drop engine='batch' or pick "
+                    "'scalar'/'event'"
+                )
+            if not rngs:
+                return []
+            first = protocol_factory(graph, rngs[0])
             strategy = first.batch_strategy()
-            if strategy is not None:
-                processes = [first] + [
-                    protocol_factory(graph, rng) for rng in remaining[1:]
-                ]
-                return strategy(graph, processes, config, rngs)
-            if require_batch:
+            if strategy is None:
                 raise EngineError(
                     f"{type(first).__name__} declares no batch strategy; "
                     "drop engine='batch' or pick 'scalar'"
                 )
-            results.append(GossipEngine(graph, first, config, remaining[0]).run())
-            remaining = remaining[1:]
-        for rng in remaining:
-            process = protocol_factory(graph, rng)
-            results.append(GossipEngine(graph, process, config, rng).run())
-    return results
+            processes = [first] + [protocol_factory(graph, rng) for rng in rngs[1:]]
+            return strategy(graph, processes, config, rngs)
+        return [
+            GossipEngine(graph, protocol_factory(graph, rng), config, rng).run()
+            for rng in rngs
+        ]
 
 
 def measure_protocol_batched(
@@ -327,14 +423,13 @@ def measure_protocol_batched(
     fresh: bool = False,
     spec: Any = None,
 ) -> list[RunResult]:
-    """Run seeded trials through the vectorised batch engine when possible.
+    """Run seeded trials on the fastest engine :func:`choose_engine` allows.
 
     Each trial's process is built with its own derived generator (so
-    setup-time draws are consumed exactly as in the sequential runner); if
-    the protocol opts in to the rank-only fast path the whole set runs in
-    one :class:`~repro.gossip.batch.BatchGossipEngine`, otherwise the trials
-    run sequentially with the same generators.  Either way the returned
-    results are identical to :func:`~repro.analysis.stopping_time.measure_protocol`.
+    setup-time draws are consumed exactly as in the sequential runner); the
+    set then runs on the event engine, in one batch engine, or sequentially
+    with the same generators.  Either way the returned results are identical
+    to :func:`~repro.analysis.stopping_time.measure_protocol`.
 
     ``graph`` may also be a :class:`~repro.scenarios.ScenarioSpec` or
     :class:`~repro.scenarios.MaterializedScenario`, in which case the
@@ -521,6 +616,8 @@ def measure_protocol_parallel(
     )
     backend = getattr(spec, "backend", "") or ""
     engine = getattr(spec, "engine", "") or ""
+    # Refused up front, so a fully cached run cannot hide the contradiction.
+    _refuse_contradictory_flags(engine, batch)
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
     jobs = default_jobs() if jobs is None else jobs

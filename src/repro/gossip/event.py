@@ -84,25 +84,26 @@ __all__ = [
 
 
 def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
-    """Build one trial's process for the event engine, honouring the graph type.
+    """Build one trial's process for the event engine.
 
-    For a networkx graph this is exactly ``protocol_factory(graph, rng)`` —
-    the full process with scalar decoders, as the event runners always built.
-    For a graph-free :class:`~repro.graphs.csr.CSRGraph` the factory must
-    provide a ``rank_only_process`` method (``UniformGossipFactory`` does)
-    building a decoder-less process from the *same* ``rng`` stream position;
-    factories without one (TAG, spanning trees) raise a typed
+    The engine reads nothing but the generation, the placement and the
+    initial coefficient rows, so a factory with a ``rank_only_process``
+    method (``UniformGossipFactory``) builds the decoder-less process on any
+    graph type, drawing the generation from the *same* ``rng`` stream
+    position as the full process.  Other factories build their full process,
+    except on a graph-free :class:`~repro.graphs.csr.CSRGraph`, which only
+    the rank-only process supports: there they raise a typed
     :class:`~repro.errors.EngineError`, never a silent fallback.
     """
-    if isinstance(graph, CSRGraph):
-        rank_only = getattr(protocol_factory, "rank_only_process", None)
-        if rank_only is None:
-            raise EngineError(
-                f"{type(protocol_factory).__name__} cannot run on a CSRGraph: "
-                "the graph-free pipeline supports rank-only uniform algebraic "
-                "gossip only; materialise through the networkx path instead"
-            )
+    rank_only = getattr(protocol_factory, "rank_only_process", None)
+    if rank_only is not None:
         return rank_only(graph, rng)
+    if isinstance(graph, CSRGraph):
+        raise EngineError(
+            f"{type(protocol_factory).__name__} cannot run on a CSRGraph: "
+            "the graph-free pipeline supports rank-only uniform algebraic "
+            "gossip only; materialise through the networkx path instead"
+        )
     return protocol_factory(graph, rng)
 
 

@@ -290,7 +290,10 @@ class ScenarioSpec:
         :class:`~repro.store.ResultStore` cache is backend-invariant.
     engine:
         Which engine family runs the trials: ``""`` (default) lets the trial
-        runners choose (batch fast path when eligible, sequential otherwise),
+        runners choose through
+        :func:`~repro.experiments.parallel.choose_engine` (event engine for
+        gf2bit uniform gossip, else batch fast path when eligible, else
+        sequential),
         ``"scalar"`` forces the sequential :class:`~repro.gossip.GossipEngine`,
         ``"batch"`` requires the lockstep batch fast path, ``"event"``
         requires the event-driven sparse engine
@@ -846,14 +849,15 @@ class MaterializedScenario:
     def build_process(self, rng: np.random.Generator) -> GossipProcess:
         """One fresh protocol instance drawing its setup from ``rng``.
 
-        Routed through :func:`~repro.gossip.event.build_event_process` so a
-        CSR-materialised scenario builds the decoder-less rank-only process;
-        on the networkx pipeline this is exactly ``protocol_factory(graph,
-        rng)`` as before.
+        On the networkx pipeline this is exactly ``protocol_factory(graph,
+        rng)``; a CSR-materialised scenario builds the decoder-less rank-only
+        process through :func:`~repro.gossip.event.build_event_process`.
         """
-        from ..gossip.event import build_event_process
+        if isinstance(self.graph, CSRGraph):
+            from ..gossip.event import build_event_process
 
-        return build_event_process(self.graph, self.protocol_factory, rng)
+            return build_event_process(self.graph, self.protocol_factory, rng)
+        return self.protocol_factory(self.graph, rng)
 
     def batch_strategy(self):
         """The batch executor this scenario's trials would use, or ``None``.
@@ -942,35 +946,53 @@ class MaterializedScenario:
         )
 
     def run_single(
-        self, *, seed: int | None = None, store: Any = None, fresh: bool = False
+        self,
+        *,
+        seed: int | None = None,
+        store: Any = None,
+        fresh: bool = False,
+        batch: bool = True,
     ) -> RunResult:
         """One single-trial run — exactly trial 0 of the Monte Carlo plan.
 
-        Runs the sequential engine unless the spec pins another engine family
-        (all families are bit-identical per seed, so the choice never changes
-        the result).  With a ``store``, trial 0 is served from (and persisted
-        to) the same ``(fingerprint, seed, trial)`` records the batch runners
-        use — engine-invariantly, like the cache itself.
+        Runs the engine the spec pins, else the event engine when
+        :func:`~repro.experiments.parallel.choose_engine` picks it, else the
+        sequential engine (all families are bit-identical per seed, so the
+        choice never changes the result).  ``batch=False`` forces the
+        sequential engine, as in :meth:`measure`.  With a ``store``, trial 0
+        is served from (and persisted to) the same ``(fingerprint, seed,
+        trial)`` records the batch runners use — engine-invariantly, like the
+        cache itself.
         """
         from ..backends import use_backend
+        from ..experiments.parallel import choose_engine
 
         effective_seed = self.spec.seed if seed is None else seed
+        pinned = getattr(self.spec, "engine", "") or ""
+        # Chosen before the cache read, so contradictory flags are refused
+        # even when the trial is cached.
+        engine = choose_engine(
+            self.graph, self.protocol_factory, self.config,
+            seed=effective_seed, engine=pinned, batch=batch, backend=self.spec.backend,
+        )
         if store is not None and not fresh:
             cached = store.get(self.spec, 0, seed=effective_seed)
             if cached is not None:
                 return cached
-        engine = getattr(self.spec, "engine", "") or ""
         rng = derive_rng(effective_seed, "trial-0")
         with use_backend(self.spec.backend):
-            process = self.build_process(rng)
             if engine == "event":
-                from ..gossip.event import EventGossipEngine
+                from ..gossip.event import EventGossipEngine, build_event_process
 
+                process = build_event_process(self.graph, self.protocol_factory, rng)
                 result = EventGossipEngine(self.graph, process, self.config, rng).run()
-            elif engine == "batch":
+            elif pinned == "batch":
+                # Only a pinned batch engine runs here: an auto "batch" pick
+                # has nothing to batch in one trial and runs sequentially.
                 from ..errors import EngineError
                 from ..gossip.batch import batch_supports_config
 
+                process = self.build_process(rng)
                 strategy = process.batch_strategy()
                 if strategy is None or not batch_supports_config(self.config):
                     raise EngineError(
@@ -980,7 +1002,9 @@ class MaterializedScenario:
                     )
                 result = strategy(self.graph, [process], self.config, [rng])[0]
             else:
-                result = GossipEngine(self.graph, process, self.config, rng).run()
+                result = GossipEngine(
+                    self.graph, self.build_process(rng), self.config, rng
+                ).run()
         if store is not None:
             store.put(self.spec, 0, result, seed=effective_seed)
         return result

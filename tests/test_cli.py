@@ -49,6 +49,19 @@ class TestRunCommand:
         assert exit_code == 0
         assert "completed after" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    @pytest.mark.parametrize("trials", ["1", "3"])
+    def test_no_batch_contradicting_a_pinned_engine_is_refused(
+        self, engine, trials, capsys
+    ):
+        exit_code = main(["run", "--topology", "ring", "--n", "8", "--k", "4",
+                          "--trials", trials, "--no-batch", "--engine", engine])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "contradicts" in captured.err
+
     def test_bad_field_size_is_reported_as_error(self, capsys):
         exit_code = main(["run", "--field-size", "6"])
         captured = capsys.readouterr()

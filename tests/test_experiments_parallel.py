@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.stopping_time import measure_protocol, run_trials
 from repro.core import TimeModel
-from repro.errors import AnalysisError, SimulationError
+from repro.errors import AnalysisError, EngineError, SimulationError
 from repro.experiments import (
     default_config,
     measure_protocol_batched,
@@ -178,6 +178,16 @@ class TestParallelEqualsSequential:
             trials=4, seed=19, jobs=2, batch=False,
         )
         assert _signature(parallel) == _signature(sequential)
+
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    def test_no_batch_contradicting_a_pinned_engine_raises(self, engine):
+        from repro.scenarios import ScenarioSpec
+
+        spec = ScenarioSpec(topology="ring", n=8, k=4, trials=2, engine=engine)
+        with pytest.raises(EngineError, match="contradicts"):
+            measure_protocol_parallel(spec, batch=False, jobs=1)
+        with pytest.raises(EngineError, match="contradicts"):
+            run_trials_parallel(spec, batch=False, jobs=2)
 
     def test_chunking_is_balanced_and_ordered(self):
         assert _chunks(range(7), 3) == [[0, 1, 2], [3, 4], [5, 6]]
