@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow bench-smoke bench-json bench-check backend-check event-check csr-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check
+.PHONY: test test-slow bench-smoke bench-json bench-check backend-check event-check csr-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check perf-selftest
 
 ## Tier-1 test suite (unit + property + integration).  Tests marked `slow`
 ## (the large batch-vs-scalar equivalence sweeps) are skipped here.  The
@@ -158,3 +158,9 @@ asymptotics-check:
 	REPRO_BENCH_ASY_MIN_N=160 REPRO_BENCH_ASY_MAX_N=1600 REPRO_BENCH_ASY_TRIALS=2 \
 	REPRO_BENCH_ASY_MIN_BYTES_RATIO=5 REPRO_BENCH_ASY_MIN_R2=0.5 \
 		$(PYTHON) -m pytest benchmarks/bench_asymptotics.py --benchmark-only -q
+
+## Repository-benchmark self-test: every entry point the perfbench tracer
+## wraps still resolves, a corrupted trial result is counted as failed, and
+## traced and untraced runs agree on the digest (about half a minute).
+perf-selftest:
+	$(PYTHON) perfbench/selftest.py

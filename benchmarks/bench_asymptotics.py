@@ -79,7 +79,7 @@ def _run():
         )
         start = time.perf_counter()
         scenario = largest.spec.materialize_preferred()
-        full_results = scenario.measure(batch=True)
+        full_results = scenario.measure()
         resimulate_seconds = time.perf_counter() - start
         assert store.aggregate(largest.spec) == aggregate_results(full_results), (
             "the summary-backed aggregate diverged from re-simulated full "

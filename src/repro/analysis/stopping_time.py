@@ -52,10 +52,9 @@ def measure_protocol(
     """Run ``trials`` independent simulations and return every :class:`RunResult`.
 
     This is the sequential reference runner.
-    :func:`repro.experiments.parallel.measure_protocol_batched` and
-    :func:`~repro.experiments.parallel.measure_protocol_parallel` produce the
-    same results (same seeds → same stopping times) through the vectorised
-    batch engine and worker processes respectively; prefer them for large
+    :func:`repro.experiments.parallel.measure_protocol_parallel` produces the
+    same results (same seeds → same stopping times) on the fastest engine
+    for the workload, optionally over worker processes; prefer it for large
     trial counts.
     """
     if trials < 1:

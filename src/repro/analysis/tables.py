@@ -56,7 +56,6 @@ def measured_rows(
     trials: int | None = None,
     seed: int | None = None,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
 ) -> list[dict[str, Any]]:
@@ -79,7 +78,7 @@ def measured_rows(
         spec = get_scenario(entry) if isinstance(entry, str) else entry
         scenario = spec.materialize()
         stats = scenario.run(
-            trials=trials, seed=seed, jobs=jobs, batch=batch, store=store, fresh=fresh
+            trials=trials, seed=seed, jobs=jobs, store=store, fresh=fresh
         )
         rows.append(
             {

@@ -156,15 +156,12 @@ def _run_unit(
     *,
     store: Any,
     jobs: "int | None",
-    batch: bool,
     fresh: bool,
     offline: bool,
 ) -> UnitOutcome:
     """Execute one unit's Monte Carlo plan through the store."""
     if unit.record == "summary":
-        return _run_summary_unit(
-            unit, spec, store=store, batch=batch, fresh=fresh, offline=offline
-        )
+        return _run_summary_unit(unit, spec, store=store, fresh=fresh, offline=offline)
     scenario = spec.materialize()
     missing_before = store.missing_trials(spec)
     if offline and missing_before:
@@ -181,7 +178,6 @@ def _run_unit(
         trials=spec.trials,
         seed=spec.seed,
         jobs=1 if jobs is None else jobs,
-        batch=batch,
         store=store,
         fresh=fresh,
     )
@@ -209,7 +205,6 @@ def _run_summary_unit(
     spec: ScenarioSpec,
     *,
     store: Any,
-    batch: bool,
     fresh: bool,
     offline: bool,
 ) -> UnitOutcome:
@@ -252,7 +247,6 @@ def _run_summary_unit(
             scenario.config,
             spec.seed,
             to_compute,
-            batch,
             spec.backend,
             spec.engine,
         )
@@ -526,7 +520,6 @@ def run_campaign(
     trials: "int | None" = None,
     seed: "int | None" = None,
     jobs: "int | None" = None,
-    batch: bool = True,
     fresh: bool = False,
     offline: bool = False,
     progress: "Callable[[str], None] | None" = None,
@@ -548,9 +541,6 @@ def run_campaign(
         Worker processes.  With ``jobs > 1`` one process pool is shared by
         every unit (:func:`~repro.experiments.parallel.shared_process_pool`)
         rather than forked per sweep.
-    batch:
-        Route units through their vectorised batch engines (bit-identical;
-        wall-clock only).
     fresh:
         Recompute every trial, bypassing cache reads; recomputed results are
         verified against the archive (see
@@ -589,7 +579,6 @@ def run_campaign(
                 specs[unit.name],
                 store=store,
                 jobs=jobs,
-                batch=batch,
                 fresh=fresh,
                 offline=offline,
             )

@@ -6,8 +6,8 @@ Seven subcommands cover the common workflows (run ``python -m repro <cmd>
 ``run``
     Gossip dissemination on a named topology with a chosen protocol.  One
     run by default; with ``--trials`` it becomes a Monte Carlo measurement
-    that reports stopping-time statistics, using the vectorised batch engine
-    and (with ``--jobs``) worker processes::
+    that reports stopping-time statistics, on the engine ``--engine`` pins
+    (or the auto choice picks) and (with ``--jobs``) worker processes::
 
         python -m repro run --topology barbell --n 24 --protocol tag --seed 3
         python -m repro run --topology complete --n 64 --trials 32 --jobs 4
@@ -201,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Disseminate k messages over a named topology and report the "
             "stopping time.  With --trials 1 (the default) prints the single "
             "run's summary and protocol metadata; with --trials N runs N "
-            "independently seeded trials — through the vectorised batch "
-            "engine, and across --jobs worker processes if requested — and "
-            "prints the aggregate stopping-time statistics."
+            "independently seeded trials — on the engine --engine pins or "
+            "the auto choice picks, and across --jobs worker processes if "
+            "requested — and prints the aggregate stopping-time statistics."
         ),
     )
     run_parser.add_argument(
@@ -254,16 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help=(
-            "let the auto engine choice run the trials on a fast engine (the "
-            "event engine for gf2bit uniform gossip, else the protocol's "
-            "vectorised batch engine — see choose_engine); --no-batch forces "
-            "the sequential scalar engine (same results, slower) and refuses "
-            "--engine batch/event"
-        ),
-    )
-    run_parser.add_argument(
         "--backend", choices=sorted(all_backends()), default="",
         help=(
             "compute backend for the linear algebra: numpy (dense reference, "
@@ -275,12 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--engine", choices=["scalar", "batch", "event"], default="",
         help=(
-            "pin the engine family: scalar (sequential reference), batch "
-            "(lockstep vectorised trials) or event (event-driven sparse "
-            "engine for large n); engines are bit-identical, so this changes "
-            "wall-clock only — an engine that cannot run the workload "
-            "refuses instead of falling back (default: auto-select, see "
-            "--batch)"
+            "pin the engine family: scalar (the sequential reference), "
+            "batch (lockstep vectorised trials) or event (event-driven "
+            "sparse engine for large n); engines are bit-identical, so this "
+            "changes wall-clock only — an engine that cannot run the "
+            "workload refuses instead of falling back (default: the auto "
+            "choice: event for gf2bit uniform gossip, else the protocol's "
+            "batch engine, else scalar)"
         ),
     )
     run_parser.add_argument(
@@ -337,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs the scenario's Monte Carlo plan and prints the "
             "stopping-time statistics.  --trials/--seed override the spec's "
-            "plan; --jobs/--batch control execution only (results are "
+            "plan; --jobs/--engine control execution only (results are "
             "identical for any value)."
         ),
     )
@@ -362,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: run in-process)",
     )
     scenario_run_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="use the scenario's vectorised batch engine when it declares one",
-    )
-    scenario_run_parser.add_argument(
         "--backend", choices=sorted(all_backends()), default="",
         help=(
             "override the spec's compute backend (bit-identical results, "
@@ -375,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run_parser.add_argument(
         "--engine", choices=["scalar", "batch", "event"], default="",
         help=(
-            "override the spec's engine family (scalar / batch / event; "
-            "bit-identical results, different wall-clock; default: the "
-            "spec's own choice)"
+            "override the spec's engine family (scalar = the sequential "
+            "reference, batch, event; bit-identical results, different "
+            "wall-clock; default: the spec's own choice)"
         ),
     )
     scenario_run_parser.add_argument(
@@ -531,10 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign_run_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="use each unit's vectorised batch engine when it declares one",
-    )
-    campaign_run_parser.add_argument(
         "--fresh", action="store_true",
         help=(
             "recompute every trial instead of reading the store (results are "
@@ -638,14 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes per sweep case (default: run in-process)",
-    )
-    experiment_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help=(
-            "use each case's vectorised batch engine (uniform AG and every "
-            "TAG variant have one); --no-batch forces the sequential path "
-            "(same results, slower)"
-        ),
     )
     _add_store_arguments(experiment_parser)
 
@@ -803,7 +778,6 @@ def _run_scenario_spec(
     trials: int | None,
     seed: int | None,
     jobs: int | None,
-    batch: bool,
     store: ResultStore | None = None,
     fresh: bool = False,
     title_prefix: str | None = None,
@@ -828,16 +802,14 @@ def _run_scenario_spec(
         return 2
     if trials == 1:
         with _profiled(profile):
-            result = scenario.run_single(store=store, fresh=fresh, batch=batch)
+            result = scenario.run_single(store=store, fresh=fresh)
         print(f"{title}: {result.summary()}")
         for key, value in sorted(result.metadata.items()):
             print(f"  {key}: {value}")
         _print_store_summary(store)
         return 0 if result.completed else 1
     with _profiled(profile):
-        stats = scenario.run(
-            trials=trials, jobs=jobs, batch=batch, store=store, fresh=fresh
-        )
+        stats = scenario.run(trials=trials, jobs=jobs, store=store, fresh=fresh)
     print(f"{title}: {stats.summary()}")
     _print_store_summary(store)
     return 0
@@ -862,7 +834,6 @@ def _command_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=None,  # args.seed is already the spec's root seed
         jobs=1 if args.jobs is None else args.jobs,
-        batch=args.batch,
         store=_open_store(args),
         fresh=args.fresh,
         title_prefix=f"{args.protocol} on",
@@ -926,7 +897,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             jobs=args.jobs,
-            batch=args.batch,
             store=_open_store(args),
             fresh=args.fresh,
             profile=args.profile,
@@ -1088,7 +1058,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         jobs=getattr(args, "jobs", None),
-        batch=getattr(args, "batch", True),
         fresh=getattr(args, "fresh", False),
         offline=offline,
         progress=print if not offline else None,
@@ -1149,7 +1118,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         jobs=args.jobs,
-        batch=args.batch,
         store=store,
         fresh=args.fresh,
     )

@@ -2,9 +2,7 @@
 
 from .parallel import (
     default_jobs,
-    measure_protocol_batched,
     measure_protocol_parallel,
-    run_trials_batched,
     run_trials_parallel,
     shared_process_pool,
 )
@@ -22,9 +20,7 @@ from .runner import (
     tag_case,
     uniform_ag_case,
 )
-# Re-exported from the scenario layer (their home since the placements move);
-# the deprecated repro.experiments.workloads shim is *not* imported here, so
-# its DeprecationWarning only fires for code still using the old module path.
+# Re-exported from the scenario layer, where placements live.
 from ..scenarios.placements import (
     Placement,
     adversarial_far_placement,
@@ -37,9 +33,7 @@ from ..scenarios.placements import (
 
 __all__ = [
     "default_jobs",
-    "measure_protocol_batched",
     "measure_protocol_parallel",
-    "run_trials_batched",
     "run_trials_parallel",
     "shared_process_pool",
     "SpanningTreeFactory",

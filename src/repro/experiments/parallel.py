@@ -1,34 +1,35 @@
-"""Batched and multi-process Monte Carlo trial runners.
+"""Monte Carlo trial runners: one engine decision, optional worker processes.
 
 The stopping-time statistics everywhere in this repository are Monte Carlo
-estimates over independent seeded trials.  This module provides three
-increasingly aggressive — but **bit-identical** — ways of running them:
+estimates over independent seeded trials.  Two **bit-identical** ways of
+running them exist:
 
 * :func:`~repro.analysis.stopping_time.measure_protocol` (sequential, in
   :mod:`repro.analysis.stopping_time`): one
-  :class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders.
-* :func:`measure_protocol_batched` / :func:`run_trials_batched`: the trials
-  on the engine :func:`choose_engine` picks — the event-driven engine for
-  gf2bit uniform algebraic gossip, else one vectorised batch engine when the
-  protocol declares one through
+  :class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders —
+  the reference every engine is checked against.
+* :func:`measure_protocol_parallel` / :func:`run_trials_parallel`: the
+  trials on the engine :func:`choose_engine` picks — the event-driven engine
+  for gf2bit uniform algebraic gossip, else one vectorised batch engine when
+  the protocol declares one through
   :meth:`~repro.gossip.engine.GossipProcess.batch_strategy` (uniform
   algebraic gossip, TAG with every built-in spanning-tree protocol, and
-  standalone spanning-tree broadcasts all do), else the sequential engine.
-* :func:`measure_protocol_parallel` / :func:`run_trials_parallel`: the trial
-  set split across worker processes with a ``ProcessPoolExecutor``, each
-  worker running the chosen engine on its chunk.
+  standalone spanning-tree broadcasts all do), else the sequential engine —
+  in-process with ``jobs=1``, or split across worker processes with a
+  ``ProcessPoolExecutor``, each worker running the chosen engine on its
+  chunk.  A spec's ``engine`` pins the family instead.
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
-the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
+the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which engine
 executes it, which worker process it lands on, or how trials are chunked — so
-all three runners return the same results trial-for-trial.
+every runner returns the same results trial-for-trial.
 
 Every runner also accepts a :class:`~repro.scenarios.ScenarioSpec` (or an
 already-materialised :class:`~repro.scenarios.MaterializedScenario`) in place
 of the ``(graph, protocol_factory, config)`` triple; the spec's trial/seed
 plan fills in ``trials``/``seed`` when those are not given explicitly::
 
-    run_trials_batched(get_scenario("tag/brr-barbell"))
+    run_trials_parallel(get_scenario("tag/brr-barbell"), jobs=1)
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ from ..core.rng import derive_rng
 from ..errors import AnalysisError, EngineError
 from ..analysis.stopping_time import ProtocolFactory
 from ..gossip.batch import batch_supports_config
-from ..gossip.engine import BatchRunner, GossipEngine
+from ..gossip.engine import GossipEngine
 
 __all__ = [
-    "measure_protocol_batched",
-    "run_trials_batched",
     "measure_protocol_parallel",
     "run_trials_parallel",
-    "scenario_batch_strategy",
     "choose_engine",
     "EVENT_SYNC_MAX_K",
     "shared_process_pool",
@@ -165,8 +163,8 @@ def _run_through_store(
 ) -> list[RunResult]:
     """Serve trials from the store, compute the rest, persist, merge in order.
 
-    The one cache-aware code path shared by the batched and the parallel
-    runner: ``compute(missing_indices)`` runs only the trial streams the
+    The cache-aware path of :func:`measure_protocol_parallel`:
+    ``compute(missing_indices)`` runs only the trial streams the
     store does not hold, the fresh results are persisted, and the merged
     list comes back in ``trial_indices`` order — bit-identical to computing
     everything, because trial ``i`` derives its generator from the root seed
@@ -199,36 +197,6 @@ def _run_through_store(
         cached[index] if index in cached else computed[index]
         for index in trial_indices
     ]
-
-
-def scenario_batch_strategy(scenario: Any) -> BatchRunner | None:
-    """The batch executor a materialised scenario's trials would use, or ``None``.
-
-    Combines the protocol's own declaration
-    (:meth:`~repro.gossip.engine.GossipProcess.batch_strategy`, probed on a
-    throwaway process) with the config support matrix
-    (:func:`~repro.gossip.batch.batch_supports_config`): ``None`` means the
-    trial runners will use the sequential engine.
-    """
-    if not batch_supports_config(scenario.config):
-        return None
-    from ..gossip.batch import run_rank_only_batch
-    from ..gossip.batch_tag import run_spanning_tree_batch, run_tag_batch
-    from ..scenarios.spec import SpanningTreeFactory, TagFactory, UniformGossipFactory
-
-    # The scenario factories produce exactly the protocols these runners
-    # support (every TREE_PROTOCOLS entry has a batch tree state), so the
-    # strategy is known from the factory type without building a process.
-    factory = scenario.protocol_factory
-    if isinstance(factory, UniformGossipFactory):
-        return run_rank_only_batch
-    if isinstance(factory, TagFactory):
-        return run_tag_batch
-    if isinstance(factory, SpanningTreeFactory):
-        return run_spanning_tree_batch
-    # Unknown factory (user-supplied): probe a throwaway process.
-    probe = scenario.build_process(derive_rng(scenario.spec.seed, "strategy-probe"))
-    return probe.batch_strategy()
 
 
 #: Largest generation size ``k`` at which auto-selection still sends
@@ -278,14 +246,6 @@ def _declared_traits(
     return rank_only, k, probe.batch_strategy() is not None
 
 
-def _refuse_contradictory_flags(engine: str, batch: bool) -> None:
-    if not batch and engine in ("batch", "event"):
-        raise EngineError(
-            f"batch=False (--no-batch) contradicts engine={engine!r}; "
-            "drop one of the two"
-        )
-
-
 def choose_engine(
     graph: Any,
     protocol_factory: ProtocolFactory,
@@ -293,7 +253,6 @@ def choose_engine(
     *,
     seed: int = 0,
     engine: str = "",
-    batch: bool = True,
     backend: str = "",
 ) -> str:
     """The engine family a set of trials runs on: ``event``, ``batch`` or ``scalar``.
@@ -301,30 +260,24 @@ def choose_engine(
     The one dispatch rule behind every auto-selecting runner:
 
     1. a pinned ``engine`` wins (the runners raise their typed refusals when
-       it cannot run the workload);
-    2. ``batch=False`` (``--no-batch``) means ``scalar``; combining it with a
-       pinned ``batch`` or ``event`` engine is contradictory and raises
-       :class:`~repro.errors.EngineError`;
-    3. ``event`` for rank-only uniform algebraic gossip on the ``gf2bit``
+       it cannot run the workload; ``scalar`` is the sequential reference);
+    2. ``event`` for rank-only uniform algebraic gossip on the ``gf2bit``
        backend (``backend``, or the ambient one when empty), when the model
        is asynchronous or ``k <= EVENT_SYNC_MAX_K``;
-    4. otherwise ``batch`` when the protocol declares a batch strategy and
+    3. otherwise ``batch`` when the protocol declares a batch strategy and
        :func:`~repro.gossip.batch.batch_supports_config` holds, else
        ``scalar``.
 
     Engines are bit-identical per trial stream, so the choice changes
-    wall-clock only.  The numpy backend keeps rule 4: there the event and
+    wall-clock only.  The numpy backend keeps rule 3: there the event and
     batch engines measured too close to call asynchronously, and batch wins
     synchronously.  ``seed`` only keys the throwaway probe an unknown
     factory needs; no trial generator is touched.
     """
     from ..backends import resolve_backend
 
-    _refuse_contradictory_flags(engine, batch)
     if engine:
         return engine
-    if not batch:
-        return "scalar"
     rank_only, k, has_strategy = _declared_traits(graph, protocol_factory, seed)
     if (
         rank_only
@@ -343,11 +296,14 @@ def _measure_trial_indices(
     config: SimulationConfig,
     seed: int,
     trial_indices: Sequence[int],
-    batch: bool,
     backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
     """Run the selected trial streams on the engine :func:`choose_engine` picks.
+
+    The one place trials meet an engine: every runner — in-process, chunked
+    worker, campaign summary unit and single-trial
+    :meth:`~repro.scenarios.MaterializedScenario.run_single` — ends here.
 
     The sequential engine builds each trial's process lazily, one at a time,
     so a long sequential run never holds more than one set of scalar
@@ -368,9 +324,7 @@ def _measure_trial_indices(
     from ..backends import use_backend
 
     with use_backend(backend):
-        engine = choose_engine(
-            graph, protocol_factory, config, seed=seed, engine=engine, batch=batch
-        )
+        engine = choose_engine(graph, protocol_factory, config, seed=seed, engine=engine)
         rngs = [derive_rng(seed, f"trial-{index}") for index in trial_indices]
         if engine == "event":
             from ..gossip.event import build_event_process, run_event_trials
@@ -411,100 +365,9 @@ def _measure_trial_indices(
         ]
 
 
-def measure_protocol_batched(
-    graph: "nx.Graph | Any",
-    protocol_factory: ProtocolFactory | None = None,
-    config: SimulationConfig | None = None,
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-    trial_indices: Sequence[int] | None = None,
-    store: Any = None,
-    fresh: bool = False,
-    spec: Any = None,
-) -> list[RunResult]:
-    """Run seeded trials on the fastest engine :func:`choose_engine` allows.
-
-    Each trial's process is built with its own derived generator (so
-    setup-time draws are consumed exactly as in the sequential runner); the
-    set then runs on the event engine, in one batch engine, or sequentially
-    with the same generators.  Either way the returned results are identical
-    to :func:`~repro.analysis.stopping_time.measure_protocol`.
-
-    ``graph`` may also be a :class:`~repro.scenarios.ScenarioSpec` or
-    :class:`~repro.scenarios.MaterializedScenario`, in which case the
-    factory/config (and, when not given, the trial/seed plan) come from it.
-
-    ``trial_indices`` selects which trial streams to run (default
-    ``0 .. trials-1``); the parallel runner uses it to assign disjoint chunks
-    to workers without perturbing any trial's randomness.
-
-    ``store`` (a :class:`~repro.store.ResultStore`) makes the call
-    cache-aware: only the ``(fingerprint, seed, trial)`` keys not already
-    present are computed, and newly computed results are persisted.  Because
-    trial ``i`` derives its generator from the root seed alone, running just
-    the missing indices is bit-identical to running them all — so a resumed
-    or fully-cached call returns exactly what a cold call would.  Caching
-    needs a content address: when the workload arrives as a bare
-    ``(graph, protocol_factory, config)`` triple, pass the ``spec`` it came
-    from (``fresh=True`` bypasses cache reads but still persists).
-    """
-    graph, protocol_factory, config, trials, seed, spec = _resolve_workload(
-        graph, protocol_factory, config, trials, seed, spec
-    )
-    backend = getattr(spec, "backend", "") or ""
-    engine = getattr(spec, "engine", "") or ""
-    if trial_indices is None:
-        if trials < 1:
-            raise AnalysisError(f"trials must be positive, got {trials}")
-        trial_indices = range(trials)
-    if store is None:
-        return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, True, backend,
-            engine,
-        )
-    return _run_through_store(
-        store, spec, seed, trial_indices, fresh,
-        lambda missing: _measure_trial_indices(
-            graph, protocol_factory, config, seed, missing, True, backend, engine
-        ),
-    )
-
-
-def run_trials_batched(
-    graph: "nx.Graph | Any",
-    protocol_factory: ProtocolFactory | None = None,
-    config: SimulationConfig | None = None,
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-    store: Any = None,
-    fresh: bool = False,
-    spec: Any = None,
-) -> StoppingTimeStats:
-    """Like :func:`~repro.analysis.stopping_time.run_trials`, batched.
-
-    Also accepts a :class:`~repro.scenarios.ScenarioSpec` in place of the
-    ``(graph, protocol_factory, config)`` triple, and a
-    :class:`~repro.store.ResultStore` through which cached trials are reused
-    (see :func:`measure_protocol_batched`).
-    """
-    return aggregate_results(
-        measure_protocol_batched(
-            graph, protocol_factory, config, trials=trials, seed=seed,
-            store=store, fresh=fresh, spec=spec,
-        )
-    )
-
-
 def _run_chunk(payload: bytes) -> list[RunResult]:
     """Worker entry point: unpickle one chunk description and run it."""
-    (
-        graph, protocol_factory, config, seed, indices, batch, backend, engine,
-    ) = pickle.loads(payload)
-    return _measure_trial_indices(
-        graph, protocol_factory, config, seed, indices, batch, backend, engine
-    )
+    return _measure_trial_indices(*pickle.loads(payload))
 
 
 def _chunks(indices: Sequence[int], jobs: int) -> list[list[int]]:
@@ -527,7 +390,6 @@ def _measure_indices_chunked(
     seed: int,
     trial_indices: Sequence[int],
     jobs: int,
-    batch: bool,
     backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
@@ -542,15 +404,13 @@ def _measure_indices_chunked(
     jobs = min(jobs, len(trial_indices))
     if jobs == 1:
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, batch, backend,
-            engine,
+            graph, protocol_factory, config, seed, trial_indices, backend, engine
         )
     chunks = _chunks(trial_indices, jobs)
     try:
         payloads = [
             pickle.dumps(
-                (graph, protocol_factory, config, seed, chunk, batch, backend,
-                 engine)
+                (graph, protocol_factory, config, seed, chunk, backend, engine)
             )
             for chunk in chunks
         ]
@@ -559,8 +419,7 @@ def _measure_indices_chunked(
         # process boundary; run them in-process instead — the results are
         # identical, only the wall-clock differs.
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, batch, backend,
-            engine,
+            graph, protocol_factory, config, seed, trial_indices, backend, engine
         )
     if _SHARED_POOL is not None:
         # Inside a shared_process_pool() block: reuse the long-lived workers
@@ -583,7 +442,6 @@ def measure_protocol_parallel(
     trials: int | None = None,
     seed: int | None = None,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
     spec: Any = None,
@@ -594,19 +452,24 @@ def measure_protocol_parallel(
     :class:`~repro.scenarios.MaterializedScenario`.
 
     The trial set is split into contiguous chunks, one worker process per
-    chunk, and every worker runs its indices — through the batch engine when
-    ``batch`` is true and the protocol allows it, sequentially otherwise.
+    chunk, and every worker runs its indices on the engine
+    :func:`choose_engine` picks (the spec's ``engine``, when it pins one).
     Because trial ``i`` derives its generator from the root seed alone
     (``derive_rng(seed, f"trial-{i}")`` — the spawned-child-seed scheme of
     :mod:`repro.core.rng`), the partitioning has no effect on any trial's
     randomness and the concatenated results equal the sequential runner's
     trial-for-trial.
 
-    ``store`` makes the call cache-aware exactly as in
-    :func:`measure_protocol_batched`: cached trials are read back, only the
-    missing indices are chunked over workers, and the freshly computed
-    results are persisted (in the parent process — workers never touch the
-    store).
+    ``store`` (a :class:`~repro.store.ResultStore`) makes the call
+    cache-aware: only the ``(fingerprint, seed, trial)`` keys not already
+    present are computed — chunked over workers — and the freshly computed
+    results are persisted (in the parent process; workers never touch the
+    store).  Because trial ``i`` derives its generator from the root seed
+    alone, running just the missing indices is bit-identical to running
+    them all, so a resumed or fully cached call returns exactly what a cold
+    call would.  Caching needs a content address: when the workload arrives
+    as a bare ``(graph, protocol_factory, config)`` triple, pass the ``spec``
+    it came from (``fresh=True`` bypasses cache reads but still persists).
 
     Falls back to in-process execution when only one job is needed or when
     the factory cannot be pickled (e.g. a locally defined closure).
@@ -616,8 +479,6 @@ def measure_protocol_parallel(
     )
     backend = getattr(spec, "backend", "") or ""
     engine = getattr(spec, "engine", "") or ""
-    # Refused up front, so a fully cached run cannot hide the contradiction.
-    _refuse_contradictory_flags(engine, batch)
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
     jobs = default_jobs() if jobs is None else jobs
@@ -625,14 +486,13 @@ def measure_protocol_parallel(
         raise AnalysisError(f"jobs must be positive, got {jobs}")
     if store is None:
         return _measure_indices_chunked(
-            graph, protocol_factory, config, seed, range(trials), jobs, batch,
-            backend, engine,
+            graph, protocol_factory, config, seed, range(trials), jobs, backend,
+            engine,
         )
     return _run_through_store(
         store, spec, seed, range(trials), fresh,
         lambda missing: _measure_indices_chunked(
-            graph, protocol_factory, config, seed, missing, jobs, batch, backend,
-            engine,
+            graph, protocol_factory, config, seed, missing, jobs, backend, engine
         ),
     )
 
@@ -645,7 +505,6 @@ def run_trials_parallel(
     trials: int | None = None,
     seed: int | None = None,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
     spec: Any = None,
@@ -660,7 +519,7 @@ def run_trials_parallel(
     return aggregate_results(
         measure_protocol_parallel(
             graph, protocol_factory, config,
-            trials=trials, seed=seed, jobs=jobs, batch=batch,
-            store=store, fresh=fresh, spec=spec,
+            trials=trials, seed=seed, jobs=jobs, store=store, fresh=fresh,
+            spec=spec,
         )
     )

@@ -162,17 +162,14 @@ def run_experiment(
     trials: int | None = None,
     seed: int = 0,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
 ) -> ExperimentResult:
     """Run a registered experiment and return its sweep points and table rows.
 
-    ``jobs`` and ``batch`` are forwarded to
-    :func:`~repro.analysis.sweep.run_sweep`: ``batch`` (default on) routes
-    rank-only cases through the vectorised batch engine, ``jobs`` spreads the
-    trials of each case over that many worker processes.  Neither changes the
-    results — same seeds, same stopping times.  ``store`` (a
+    ``jobs`` is forwarded to :func:`~repro.analysis.sweep.run_sweep`: it
+    spreads the trials of each case over that many worker processes without
+    changing the results — same seeds, same stopping times.  ``store`` (a
     :class:`~repro.store.ResultStore`) reuses every already-cached trial and
     persists the rest, so repeating an experiment — or extending it with
     cases *appended* to its list — only simulates what the store does not
@@ -187,7 +184,7 @@ def run_experiment(
         ) from None
     cases = list(experiment.build_cases())
     points = run_sweep(
-        cases, trials=trials or experiment.trials, seed=seed, jobs=jobs, batch=batch,
+        cases, trials=trials or experiment.trials, seed=seed, jobs=jobs,
         store=store, fresh=fresh,
     )
     rows = scaling_table(

@@ -143,10 +143,10 @@ class GossipProcess(ABC):
     def batch_strategy(self) -> BatchRunner | None:
         """Return this protocol's vectorised batch executor, or ``None``.
 
-        The batched trial runners in :mod:`repro.experiments.parallel` build
-        one process per trial, ask the first for its strategy, and — when one
-        is declared — hand the whole trial set to it instead of running
-        :class:`GossipEngine` once per trial.  Every strategy is a *pure
+        The trial runners in :mod:`repro.experiments.parallel`, when their
+        engine choice is ``batch``, build one process per trial, ask the
+        first for its strategy, and hand the whole trial set to it instead
+        of running :class:`GossipEngine` once per trial.  Every strategy is a *pure
         optimisation*: same per-trial generators, bit-identical results.
 
         Protocols declare their own executor: uniform algebraic gossip (via

@@ -3,8 +3,8 @@
 One :class:`ScenarioSpec` describes a whole experiment — topology, size,
 message placement, protocol, simulation config (including churn schedules
 and heterogeneous activation rates), trial/seed plan — and drives the same
-workload through the CLI, the sweep runner, the batched/parallel trial
-runners and the benchmarks with identical seeded results.
+workload through the CLI, the sweep runner, the trial runners and the
+benchmarks with identical seeded results.
 """
 
 from .placements import (

@@ -20,8 +20,7 @@ The same spec therefore drives the same workload through
 * the CLI (``python -m repro scenario run <name>`` /
   ``python -m repro run ...``),
 * :func:`repro.analysis.sweep.run_sweep` (specs are accepted directly),
-* :func:`repro.experiments.parallel.run_trials_batched` /
-  :func:`~repro.experiments.parallel.run_trials_parallel`, and
+* :func:`repro.experiments.parallel.run_trials_parallel`, and
 * every benchmark script,
 
 with identical seeded results everywhere — see
@@ -59,7 +58,7 @@ from ..core.results import RunResult, StoppingTimeStats
 from ..core.rng import derive_rng
 from ..errors import ConfigurationError
 from ..gf import GF
-from ..gossip.engine import GossipEngine, GossipProcess
+from ..gossip.engine import GossipProcess
 from ..graphs.csr import CSRGraph
 from ..graphs.csr_builders import build_csr_topology, has_csr_builder
 from ..graphs.properties import diameter as graph_diameter
@@ -804,11 +803,9 @@ class MaterializedScenario:
     the resolved config (activation recipe → per-node rates), the initial
     placement and the picklable protocol factory; the analytic
     :attr:`bounds` are computed lazily (they need graph diameter — an
-    all-pairs BFS that plain trial runs should not pay for).  The batch
-    strategy is *not* chosen here: each trial's process declares its own
-    through :meth:`~repro.gossip.engine.GossipProcess.batch_strategy`, and
-    the trial runners apply the config support matrix
-    (:func:`~repro.gossip.batch.batch_supports_config`) on top.
+    all-pairs BFS that plain trial runs should not pay for).  The engine
+    is *not* chosen here: every run goes through the trial runners, where
+    :func:`~repro.experiments.parallel.choose_engine` decides.
     """
 
     spec: ScenarioSpec
@@ -859,17 +856,6 @@ class MaterializedScenario:
             return build_event_process(self.graph, self.protocol_factory, rng)
         return self.protocol_factory(self.graph, rng)
 
-    def batch_strategy(self):
-        """The batch executor this scenario's trials would use, or ``None``.
-
-        ``None`` means the sequential engine: either the protocol declares no
-        vectorised executor, or the config uses a knob outside the batch
-        support matrix (reset-mode churn).
-        """
-        from ..experiments.parallel import scenario_batch_strategy
-
-        return scenario_batch_strategy(self)
-
     def sweep_case(
         self,
         *,
@@ -894,7 +880,6 @@ class MaterializedScenario:
         trials: int | None = None,
         seed: int | None = None,
         jobs: int | None = None,
-        batch: bool = True,
         store: Any = None,
         fresh: bool = False,
     ) -> list[RunResult]:
@@ -919,7 +904,6 @@ class MaterializedScenario:
             trials=self.spec.trials if trials is None else trials,
             seed=self.spec.seed if seed is None else seed,
             jobs=1 if jobs is None else jobs,
-            batch=batch,
             store=store,
             fresh=fresh,
             spec=self.spec,
@@ -931,7 +915,6 @@ class MaterializedScenario:
         trials: int | None = None,
         seed: int | None = None,
         jobs: int | None = None,
-        batch: bool = True,
         store: Any = None,
         fresh: bool = False,
     ) -> StoppingTimeStats:
@@ -939,10 +922,7 @@ class MaterializedScenario:
         from ..core.results import aggregate_results
 
         return aggregate_results(
-            self.measure(
-                trials=trials, seed=seed, jobs=jobs, batch=batch,
-                store=store, fresh=fresh,
-            )
+            self.measure(trials=trials, seed=seed, jobs=jobs, store=store, fresh=fresh)
         )
 
     def run_single(
@@ -951,63 +931,13 @@ class MaterializedScenario:
         seed: int | None = None,
         store: Any = None,
         fresh: bool = False,
-        batch: bool = True,
     ) -> RunResult:
         """One single-trial run — exactly trial 0 of the Monte Carlo plan.
 
-        Runs the engine the spec pins, else the event engine when
-        :func:`~repro.experiments.parallel.choose_engine` picks it, else the
-        sequential engine (all families are bit-identical per seed, so the
-        choice never changes the result).  ``batch=False`` forces the
-        sequential engine, as in :meth:`measure`.  With a ``store``, trial 0
-        is served from (and persisted to) the same ``(fingerprint, seed,
-        trial)`` records the batch runners use — engine-invariantly, like the
-        cache itself.
+        The one-trial case of :meth:`measure`: the same engine choice, and
+        with a ``store`` the same ``(fingerprint, seed, trial)`` record.
         """
-        from ..backends import use_backend
-        from ..experiments.parallel import choose_engine
-
-        effective_seed = self.spec.seed if seed is None else seed
-        pinned = getattr(self.spec, "engine", "") or ""
-        # Chosen before the cache read, so contradictory flags are refused
-        # even when the trial is cached.
-        engine = choose_engine(
-            self.graph, self.protocol_factory, self.config,
-            seed=effective_seed, engine=pinned, batch=batch, backend=self.spec.backend,
-        )
-        if store is not None and not fresh:
-            cached = store.get(self.spec, 0, seed=effective_seed)
-            if cached is not None:
-                return cached
-        rng = derive_rng(effective_seed, "trial-0")
-        with use_backend(self.spec.backend):
-            if engine == "event":
-                from ..gossip.event import EventGossipEngine, build_event_process
-
-                process = build_event_process(self.graph, self.protocol_factory, rng)
-                result = EventGossipEngine(self.graph, process, self.config, rng).run()
-            elif pinned == "batch":
-                # Only a pinned batch engine runs here: an auto "batch" pick
-                # has nothing to batch in one trial and runs sequentially.
-                from ..errors import EngineError
-                from ..gossip.batch import batch_supports_config
-
-                process = self.build_process(rng)
-                strategy = process.batch_strategy()
-                if strategy is None or not batch_supports_config(self.config):
-                    raise EngineError(
-                        f"the batch engines cannot run scenario "
-                        f"{self.label!r}; drop engine='batch' or pick "
-                        "'scalar'/'event'"
-                    )
-                result = strategy(self.graph, [process], self.config, [rng])[0]
-            else:
-                result = GossipEngine(
-                    self.graph, self.build_process(rng), self.config, rng
-                ).run()
-        if store is not None:
-            store.put(self.spec, 0, result, seed=effective_seed)
-        return result
+        return self.measure(trials=1, seed=seed, jobs=1, store=store, fresh=fresh)[0]
 
 
 def scenario_case(

@@ -26,6 +26,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E99-unknown"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["scenario", "run", "uniform/ring"],
+            ["campaign", "run", "full-paper"],
+            ["experiment", "E2-constant-degree"],
+        ],
+        ids=["run", "scenario-run", "campaign-run", "experiment"],
+    )
+    def test_no_batch_flag_is_gone(self, argv):
+        # --engine is the only engine knob; the old alias must not parse.
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--no-batch"])
+
 
 class TestRunCommand:
     def test_uniform_run_prints_summary(self, capsys):
@@ -49,18 +65,33 @@ class TestRunCommand:
         assert exit_code == 0
         assert "completed after" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["1", "3"])
+    def test_pinned_scalar_prints_what_the_auto_choice_prints(self, trials, capsys):
+        # TAG auto-selects the batch engine, for one trial as for many; the
+        # scalar reference must print the same lines.
+        argv = ["run", "--topology", "barbell", "--n", "16", "--protocol", "tag",
+                "--seed", "2", "--trials", trials, "--no-store"]
+        assert main(argv) == 0
+        auto = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--engine", "scalar"]) == 0
+        scalar = capsys.readouterr().out.splitlines()
+        assert len(auto) > 1 if trials == "1" else len(auto) == 1
+        assert scalar == auto
+
     @pytest.mark.parametrize("engine", ["batch", "event"])
     @pytest.mark.parametrize("trials", ["1", "3"])
-    def test_no_batch_contradicting_a_pinned_engine_is_refused(
+    def test_pinned_engine_prints_what_the_scalar_reference_prints(
         self, engine, trials, capsys
     ):
-        exit_code = main(["run", "--topology", "ring", "--n", "8", "--k", "4",
-                          "--trials", trials, "--no-batch", "--engine", engine])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "contradicts" in captured.err
+        argv = ["run", "--topology", "ring", "--n", "8", "--k", "4",
+                "--field-size", "2", "--backend", "gf2bit", "--seed", "2",
+                "--trials", trials, "--no-store"]
+        assert main(argv + ["--engine", "scalar"]) == 0
+        scalar = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--engine", engine]) == 0
+        pinned = capsys.readouterr().out.splitlines()
+        assert scalar
+        assert pinned == scalar
 
     def test_bad_field_size_is_reported_as_error(self, capsys):
         exit_code = main(["run", "--field-size", "6"])

@@ -20,7 +20,6 @@ import repro.gossip.batch_tag as batch_tag_module
 import repro.scenarios.spec as spec_module
 from repro.core import TimeModel
 from repro.core.rng import derive_rng
-from repro.errors import EngineError
 from repro.gossip import EventGossipEngine, GossipEngine
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import default_scenario_config
@@ -157,31 +156,40 @@ def test_synchronous_cutoff_is_inclusive(k, time_model, expected):
     ) == expected
 
 
-def test_no_batch_runs_scalar(ran, derived):
-    spec = _spec(topology="grid", n=16, k=8, backend="gf2bit", config=ASYNC2)
-    results = spec.materialize().measure(batch=False)
+def test_pinned_scalar_runs_scalar(ran, derived):
+    spec = _spec(
+        topology="grid", n=16, k=8, backend="gf2bit", config=ASYNC2, engine="scalar"
+    )
+    results = spec.materialize().measure()
     assert set(ran) == {"scalar"}
     _assert_streams_untouched(derived, spec.trials)
     assert results == _scalar(spec)
 
 
 @pytest.mark.parametrize("engine", ["batch", "event"])
-def test_no_batch_with_a_pinned_engine_is_refused(engine, tmp_path):
+def test_pinned_engine_runs_for_one_trial_and_many(engine, ran, derived, tmp_path):
     from repro.store import ResultStore
 
     spec = _spec(topology="grid", n=16, k=8, backend="gf2bit", config=ASYNC2, engine=engine)
     scenario = spec.materialize()
-    with pytest.raises(EngineError, match="contradicts"):
-        scenario.measure(batch=False)
-    with pytest.raises(EngineError, match="contradicts"):
-        scenario.run_single(batch=False)
-    # A fully cached request is refused too, not silently served.
+    results = scenario.measure()
+    assert set(ran) == {engine}
+    _assert_streams_untouched(derived, spec.trials)
+    ran.clear()
+    derived.clear()
+    single = scenario.run_single()
+    assert ran == [engine]
+    _assert_streams_untouched(derived, 1)
+    scalar = _scalar(spec)
+    assert results == scalar
+    assert single == scalar[0]
+    # A stored run is served from the store without running any engine.
     store = ResultStore(tmp_path)
-    scenario.measure(store=store)
-    with pytest.raises(EngineError, match="contradicts"):
-        scenario.measure(batch=False, store=store)
-    with pytest.raises(EngineError, match="contradicts"):
-        scenario.run_single(batch=False, store=store)
+    assert scenario.measure(store=store) == scalar
+    ran.clear()
+    assert scenario.measure(store=store) == scalar
+    assert scenario.run_single(store=store) == scalar[0]
+    assert ran == []
 
 
 @pytest.mark.parametrize(
@@ -195,7 +203,7 @@ def test_chunked_workers_and_run_single_choose_the_same_engine(case, ran, derive
     # Exactly what one worker process of the jobs=2 runner executes.
     payload = pickle.dumps(
         (scenario.graph, scenario.protocol_factory, scenario.config, spec.seed,
-         [0, 1], True, spec.backend, spec.engine)
+         [0, 1], spec.backend, spec.engine)
     )
     chunk = parallel._run_chunk(payload)
     assert set(ran) == {expected}
@@ -203,8 +211,8 @@ def test_chunked_workers_and_run_single_choose_the_same_engine(case, ran, derive
     ran.clear()
     derived.clear()
     single = scenario.run_single()
-    # One trial has nothing to batch: an auto "batch" pick runs sequentially.
-    assert ran == ["scalar" if expected == "batch" else expected]
+    # run_single is trial 0 of measure: the same engine, even for one trial.
+    assert ran == [expected]
     _assert_streams_untouched(derived, 1)
     scalar = _scalar(spec)
     assert chunk == scalar[:2]
@@ -217,12 +225,13 @@ def test_unknown_factories_are_probed_on_a_throwaway_stream(ran, derived):
     spec = _spec(topology="grid", n=16, k=8, backend="gf2bit", config=ASYNC2)
     scenario = spec.materialize()
     delegate = scenario.protocol_factory
-    results = parallel.measure_protocol_batched(
+    results = parallel.measure_protocol_parallel(
         scenario.graph,
         lambda graph, rng: delegate(graph, rng),
         scenario.config,
         trials=spec.trials,
         seed=spec.seed,
+        jobs=1,
         spec=spec,
     )
     assert set(ran) == {"event"}

@@ -27,26 +27,31 @@ from repro.experiments import (
 from repro.graphs import line_graph, ring_graph
 
 
-class TestWorkloadsShimDeprecation:
-    def test_experiments_package_does_not_import_the_shim(self):
-        # The placements re-exported by repro.experiments come straight from
-        # repro.scenarios.placements; importing the package must not pull in
-        # (and hence not warn about) the deprecated workloads module.
-        import sys
+class TestPlacementReexports:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Placement",
+            "adversarial_far_placement",
+            "all_to_all_placement",
+            "random_placement",
+            "single_source_placement",
+            "spread_placement",
+            "validate_placement",
+        ],
+    )
+    def test_experiments_reexports_the_scenario_placements(self, name):
+        import repro.experiments
+        import repro.scenarios.placements
 
-        import repro.experiments  # noqa: F401 - already imported at module scope
+        assert name in repro.experiments.__all__
+        assert getattr(repro.experiments, name) is getattr(
+            repro.scenarios.placements, name
+        )
 
-        assert "repro.experiments.workloads" not in sys.modules
-
-    def test_shim_import_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.experiments.workloads", None)
-        with pytest.warns(DeprecationWarning, match="repro.scenarios.placements"):
-            shim = importlib.import_module("repro.experiments.workloads")
-        assert shim.all_to_all_placement is all_to_all_placement
-        sys.modules.pop("repro.experiments.workloads", None)
+    def test_the_old_workloads_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.experiments.workloads")
 
 
 class TestWorkloads:

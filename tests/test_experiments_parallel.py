@@ -1,7 +1,7 @@
-"""Determinism and equivalence tests for the batched / parallel trial runners.
+"""Determinism and equivalence tests for the in-process / multi-process trial runners.
 
 The contract under test: for the same root seed, every runner —
-sequential, batched, multi-process — produces the *same* results
+sequential, batch engine, multi-process — produces the *same* results
 trial-for-trial, because trial ``i`` always draws from
 ``derive_rng(seed, f"trial-{i}")`` and the batch engine replicates the
 sequential engine's random stream call-for-call.
@@ -13,12 +13,10 @@ import pytest
 
 from repro.analysis.stopping_time import measure_protocol, run_trials
 from repro.core import TimeModel
-from repro.errors import AnalysisError, EngineError, SimulationError
+from repro.errors import AnalysisError, SimulationError
 from repro.experiments import (
     default_config,
-    measure_protocol_batched,
     measure_protocol_parallel,
-    run_trials_batched,
     run_trials_parallel,
     tag_case,
     uniform_ag_case,
@@ -47,8 +45,8 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=4, seed=99
         )
-        batched = measure_protocol_batched(
-            case.graph, case.protocol_factory, case.config, trials=4, seed=99
+        batched = measure_protocol_parallel(
+            case.graph, case.protocol_factory, case.config, trials=4, seed=99, jobs=1
         )
         assert _signature(batched) == _signature(sequential)
 
@@ -57,8 +55,9 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
         )
-        batched = measure_protocol_batched(
-            uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
+        batched = measure_protocol_parallel(
+            uniform_case.graph, uniform_case.protocol_factory, config,
+            trials=3, seed=5, jobs=1,
         )
         assert _signature(batched) == _signature(sequential)
 
@@ -67,9 +66,9 @@ class TestBatchedEqualsSequential:
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=21,
         )
-        batched = run_trials_batched(
+        batched = run_trials_parallel(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=21,
+            trials=4, seed=21, jobs=1,
         )
         assert batched.samples == sequential.samples
 
@@ -79,14 +78,14 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=2, seed=13
         )
-        batched = measure_protocol_batched(
-            case.graph, case.protocol_factory, case.config, trials=2, seed=13
+        batched = measure_protocol_parallel(
+            case.graph, case.protocol_factory, case.config, trials=2, seed=13, jobs=1
         )
         assert _signature(batched) == _signature(sequential)
 
     def test_non_batchable_protocol_falls_back(self, uniform_case):
         # A uniform-AG process with a non-uniform selector declares no batch
-        # strategy, so the batched runner must fall back to the sequential
+        # strategy, so the runner must fall back to the sequential
         # engine — and still match it (trivially, being the same path).
         from repro.gossip.communication import RoundRobinSelector
         from repro.protocols import AlgebraicGossip
@@ -109,8 +108,8 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             uniform_case.graph, factory, config, trials=2, seed=13
         )
-        batched = measure_protocol_batched(
-            uniform_case.graph, factory, config, trials=2, seed=13
+        batched = measure_protocol_parallel(
+            uniform_case.graph, factory, config, trials=2, seed=13, jobs=1
         )
         assert _signature(batched) == _signature(sequential)
 
@@ -165,29 +164,33 @@ class TestParallelEqualsSequential:
         )
         assert _signature(parallel) == _signature(sequential)
 
-    def test_no_batch_with_jobs_still_matches(self, uniform_case):
-        # --no-batch combined with worker processes must honour both: the
-        # workers run the sequential scalar path, and the results still
-        # equal the reference runner's.
+    def test_pinned_scalar_with_jobs_still_matches(self, uniform_case):
+        # A pinned scalar engine combined with worker processes must honour
+        # both: the workers run the sequential scalar path, and the results
+        # still equal the reference runner's.
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=19,
         )
-        parallel = measure_protocol_parallel(
-            uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=19, jobs=2, batch=False,
-        )
+        scalar = uniform_case.spec.replace(engine="scalar").materialize()
+        parallel = measure_protocol_parallel(scalar, trials=4, seed=19, jobs=2)
         assert _signature(parallel) == _signature(sequential)
 
     @pytest.mark.parametrize("engine", ["batch", "event"])
-    def test_no_batch_contradicting_a_pinned_engine_raises(self, engine):
+    def test_pinned_engine_matches_the_scalar_reference(self, engine):
         from repro.scenarios import ScenarioSpec
 
-        spec = ScenarioSpec(topology="ring", n=8, k=4, trials=2, engine=engine)
-        with pytest.raises(EngineError, match="contradicts"):
-            measure_protocol_parallel(spec, batch=False, jobs=1)
-        with pytest.raises(EngineError, match="contradicts"):
-            run_trials_parallel(spec, batch=False, jobs=2)
+        spec = ScenarioSpec(
+            topology="ring", n=8, k=4, trials=2, backend="gf2bit",
+            config=default_config(field_size=2), engine=engine,
+        )
+        reference = spec.replace(engine="scalar")
+        assert _signature(measure_protocol_parallel(spec, jobs=1)) == _signature(
+            measure_protocol_parallel(reference, jobs=1)
+        )
+        assert run_trials_parallel(spec, jobs=2).samples == run_trials_parallel(
+            reference, jobs=1
+        ).samples
 
     def test_chunking_is_balanced_and_ordered(self):
         assert _chunks(range(7), 3) == [[0, 1, 2], [3, 4], [5, 6]]
@@ -213,13 +216,20 @@ class TestParallelEqualsSequential:
 
 
 class TestSweepWiring:
-    def test_run_sweep_batched_matches_sequential(self):
+    def test_run_sweep_matches_sequential(self):
         from repro.analysis import run_sweep
 
         cases = [uniform_ag_case("ring", 8, 4), uniform_ag_case("grid", 9, 4)]
-        fast = run_sweep(cases, trials=3, seed=2, batch=True)
-        slow = run_sweep(cases, trials=3, seed=2, batch=False)
-        assert [p.stats.samples for p in fast] == [p.stats.samples for p in slow]
+        points = run_sweep(cases, trials=3, seed=2)
+        # Case i runs at root seed seed + i * 10_007.
+        references = [
+            run_trials(
+                case.graph, case.protocol_factory, case.config,
+                trials=3, seed=2 + index * 10_007,
+            )
+            for index, case in enumerate(cases)
+        ]
+        assert [p.stats.samples for p in points] == [r.samples for r in references]
 
 
 class TestSharedProcessPool:

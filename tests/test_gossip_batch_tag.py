@@ -19,7 +19,7 @@ from repro.analysis.stopping_time import measure_protocol
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import SimulationError
 from repro.experiments import all_to_all_placement, default_config, tag_case
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import (
     BatchTagEngine,
@@ -53,7 +53,9 @@ def _signature(results):
 
 def _assert_batched_equals_sequential(graph, factory, config, *, trials, seed):
     sequential = measure_protocol(graph, factory, config, trials=trials, seed=seed)
-    batched = measure_protocol_batched(graph, factory, config, trials=trials, seed=seed)
+    batched = measure_protocol_parallel(
+        graph, factory, config, trials=trials, seed=seed, jobs=1
+    )
     assert _signature(batched) == _signature(sequential)
 
 

@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError
 from repro.experiments import tag_case, uniform_ag_case
-from repro.experiments.parallel import run_trials_batched, run_trials_parallel
+from repro.experiments.parallel import run_trials_parallel
 from repro.scenarios import (
     SCENARIOS,
     MaterializedScenario,
@@ -274,24 +274,34 @@ class TestMaterialize:
         ],
         ids=lambda spec: f"{spec.protocol}-{spec.spanning_tree}",
     )
-    def test_batch_strategy_matches_process_declaration(self, spec):
-        # scenario_batch_strategy dispatches on the factory type for speed;
-        # this pins it to the authoritative per-process declaration so the
-        # two can never drift.
+    def test_declared_traits_match_process_declaration(self, spec):
+        # The engine choice reads the factory type for speed; this pins it to
+        # the authoritative per-process declaration so the two can never
+        # drift.
         from repro.core.rng import derive_rng
+        from repro.experiments.parallel import _declared_traits
 
         scenario = spec.materialize()
         probe = scenario.build_process(derive_rng(0, "probe"))
-        assert scenario.batch_strategy() is probe.batch_strategy()
+        rank_only, _, has_strategy = _declared_traits(
+            scenario.graph, scenario.protocol_factory, 0
+        )
+        assert has_strategy == (probe.batch_strategy() is not None)
+        assert rank_only == bool(probe.supports_rank_only_batch())
 
-    def test_batch_strategy_exposed_and_gated(self):
-        batched = ScenarioSpec(topology="ring", n=8, config=_FAST).materialize()
-        assert batched.batch_strategy() is not None
-        reset = ScenarioSpec(
-            topology="ring", n=8,
-            config=_FAST.replace(churn=((2, 3, 5),), churn_reset=True),
-        ).materialize()
-        assert reset.batch_strategy() is None
+    def test_batch_engine_chosen_and_gated(self):
+        from repro.experiments.parallel import choose_engine
+
+        def chosen(config):
+            scenario = ScenarioSpec(topology="ring", n=8, config=config).materialize()
+            return choose_engine(
+                scenario.graph, scenario.protocol_factory, scenario.config,
+                backend="numpy",
+            )
+
+        assert chosen(_FAST) == "batch"
+        reset = _FAST.replace(churn=((2, 3, 5),), churn_reset=True)
+        assert chosen(reset) == "scalar"
 
 
 class TestRegistry:
@@ -342,7 +352,7 @@ class TestSingleSpecDrivesEveryConsumer:
 
     def test_runners_agree(self):
         direct = self.SPEC.materialize().run()
-        batched = run_trials_batched(self.SPEC)
+        batched = run_trials_parallel(self.SPEC, jobs=1)
         parallel = run_trials_parallel(self.SPEC, jobs=2)
         swept = run_sweep([self.SPEC], trials=3, seed=41)[0]
         assert direct == batched == parallel == swept.stats
@@ -354,18 +364,18 @@ class TestSingleSpecDrivesEveryConsumer:
         out = capsys.readouterr().out
         assert self.SPEC.materialize().run().summary() in out
 
-    def test_no_batch_gives_same_numbers(self):
-        scenario = self.SPEC.materialize()
-        assert scenario.run(batch=True) == scenario.run(batch=False)
+    def test_pinned_scalar_gives_same_numbers(self):
+        scalar = self.SPEC.replace(engine="scalar").materialize()
+        assert self.SPEC.materialize().run() == scalar.run()
 
     def test_scenario_with_explicit_factory_or_config_rejected(self):
         from repro.errors import AnalysisError
 
         scenario = self.SPEC.materialize()
         with pytest.raises(AnalysisError):
-            run_trials_batched(self.SPEC, scenario.protocol_factory)
+            run_trials_parallel(self.SPEC, scenario.protocol_factory, jobs=1)
         with pytest.raises(AnalysisError):
-            run_trials_batched(scenario, None, scenario.config)
+            run_trials_parallel(scenario, None, scenario.config, jobs=1)
 
 
 class TestSweepCaseRebase:

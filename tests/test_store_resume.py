@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis import run_sweep
 from repro.experiments import run_experiment
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 from repro.store import ResultStore
 
@@ -64,23 +64,22 @@ def _truncate_final_record(store_root) -> None:
 
 
 class TestResumeSemantics:
-    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
-    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path, batch):
-        specs = _table1_specs()
-        cold = run_sweep(specs, trials=TRIALS, seed=SEED, batch=batch)
+    # The auto engine choice runs these specs on the batch engine.
+    @pytest.mark.parametrize("engine", ["", "scalar"], ids=["batch", "scalar"])
+    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path, engine):
+        specs = [spec.replace(engine=engine) for spec in _table1_specs()]
+        cold = run_sweep(specs, trials=TRIALS, seed=SEED)
 
         # Phase 1: the "interrupted" sweep got through half the trials...
         first_half = ResultStore(tmp_path / "store")
-        run_sweep(specs, trials=TRIALS // 2, seed=SEED, batch=batch, store=first_half)
+        run_sweep(specs, trials=TRIALS // 2, seed=SEED, store=first_half)
         assert first_half.puts == len(specs) * (TRIALS // 2)
         # ... and its writer died mid-append on the final record.
         _truncate_final_record(tmp_path / "store")
 
         # Phase 2: resume with the same specs/seed against the same store.
         resumed_store = ResultStore(tmp_path / "store")
-        resumed = run_sweep(
-            specs, trials=TRIALS, seed=SEED, batch=batch, store=resumed_store
-        )
+        resumed = run_sweep(specs, trials=TRIALS, seed=SEED, store=resumed_store)
         assert _signature(resumed) == _signature(cold)
         # Only the remaining trials (plus the one lost to the truncation)
         # were computed.
@@ -90,14 +89,14 @@ class TestResumeSemantics:
 
     def test_per_trial_results_identical_through_the_store(self, tmp_path):
         spec = _table1_specs(("grid",))[0]
-        direct = measure_protocol_batched(spec)
+        direct = measure_protocol_parallel(spec, jobs=1)
         store = ResultStore(tmp_path)
         # Warm the store with a prefix of the trial range only.
-        measure_protocol_batched(spec, trials=4, store=store)
-        mixed = measure_protocol_batched(spec, store=store)
+        measure_protocol_parallel(spec, trials=4, jobs=1, store=store)
+        mixed = measure_protocol_parallel(spec, jobs=1, store=store)
         assert mixed == direct
         # And a pure read-back run returns the same objects' worth of data.
-        replayed = measure_protocol_batched(spec, store=ResultStore(tmp_path))
+        replayed = measure_protocol_parallel(spec, jobs=1, store=ResultStore(tmp_path))
         assert replayed == direct
 
     def test_scalar_and_batch_paths_share_cache_records(self, tmp_path):
@@ -106,7 +105,8 @@ class TestResumeSemantics:
         batch_points = run_sweep(specs, trials=TRIALS, seed=SEED, store=batch_store)
         scalar_store = ResultStore(tmp_path)
         scalar_points = run_sweep(
-            specs, trials=TRIALS, seed=SEED, batch=False, store=scalar_store
+            [spec.replace(engine="scalar") for spec in specs],
+            trials=TRIALS, seed=SEED, store=scalar_store,
         )
         # The engines are bit-identical, so the scalar pass is served
         # entirely from the batch pass's records.
@@ -158,9 +158,9 @@ class TestCachedRerun:
     def test_fresh_recomputes_without_duplicating_records(self, tmp_path):
         spec = _table1_specs(("grid",))[0]
         store = ResultStore(tmp_path)
-        baseline = measure_protocol_batched(spec, store=store)
+        baseline = measure_protocol_parallel(spec, jobs=1, store=store)
         fresh_store = ResultStore(tmp_path)
-        recomputed = measure_protocol_batched(spec, store=fresh_store, fresh=True)
+        recomputed = measure_protocol_parallel(spec, jobs=1, store=fresh_store, fresh=True)
         assert recomputed == baseline
         assert fresh_store.hits == 0, "fresh must not read the cache"
         assert fresh_store.puts == 0, "identical records must not be re-appended"
