@@ -77,14 +77,15 @@ event-check:
 	REPRO_BENCH_EVENT_MAX_N=512 REPRO_BENCH_EVENT_TRIALS=2 REPRO_BENCH_EVENT_MIN_SPEEDUP=1.2 \
 		$(PYTHON) -m pytest benchmarks/bench_event_engine.py --benchmark-only -q
 
-## Graph-free CSR pipeline contract: the builder equivalence matrix (every
-## direct-CSR generator byte-identical to csr_adjacency of its networkx
-## reference), pipeline bit-identity (materialize_csr == materialize, field
-## for field), the typed refusals, plus a scaled-down run of the pipeline
-## crossover benchmark.  At smoke sizes the RSS ratio tends to 1 (the
-## interpreter baseline dominates), so both floors are lowered; the >=5x /
-## >=2x full-size floors live in the committed BENCH_E13 record, guarded by
-## `make bench-check`.
+## CSRGraph contract: direct-builder byte-identity (every direct-CSR
+## generator byte-identical to csr_adjacency of its networkx reference),
+## CSR-scenario equivalence against the networkx oracle (every registered
+## family's scenarios, on every engine, field for field equal to the
+## sequential engine on the nx.Graph), plus a scaled-down run of the
+## direct-builder crossover benchmark.  At smoke sizes the RSS ratio tends
+## to 1 (the interpreter baseline dominates), so both floors are lowered;
+## the >=5x / >=2x full-size floors live in the committed BENCH_E13 record,
+## guarded by `make bench-check`.
 csr-check:
 	$(PYTHON) -m pytest tests/test_csr_pipeline.py -q
 	REPRO_BENCH_CSR_N=2048 REPRO_BENCH_CSR_TRIALS=2 \

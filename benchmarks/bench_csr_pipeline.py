@@ -1,20 +1,21 @@
-"""E13 — the direct-CSR topology pipeline vs the networkx pipeline at large ``n``.
+"""E13 — the direct-CSR topology builder vs a networkx graph at large ``n``.
 
 The event-driven engine (E12) removed the per-event cost of large-``n``
-uniform algebraic gossip; what remained was the *materialisation* cost: the
-networkx pipeline builds a dict-of-dicts ``nx.Graph`` (hundreds of bytes per
-edge, plus ``n`` scalar decoders per trial) only to flatten it into the CSR
-arrays the engine actually walks.  The direct-CSR pipeline
-(:meth:`~repro.scenarios.ScenarioSpec.materialize_csr`) builds those arrays
+uniform algebraic gossip; what remained was the *materialisation* cost: a
+networkx builder makes a dict-of-dicts ``nx.Graph`` (hundreds of bytes per
+edge) only for it to be flattened into the CSR arrays the engine actually
+walks.  :meth:`~repro.scenarios.ScenarioSpec.materialize` builds those arrays
 straight from the generator's edge stream — byte-identical ``(indptr,
 indices)`` per seed, by the tested builder contract — and feeds the engine a
 decoder-less rank-only process.
 
 This benchmark runs the registry's large-``n`` workload — uniform AG over
 ``GF(2)`` on connected ``G(n, 2·log n/n)``, asynchronous EXCHANGE, ``k = 8``,
-gf2bit backend, event engine — through **both pipelines in separate
-subprocesses** (``ru_maxrss`` is a process-lifetime high-water mark, so a
-per-pipeline peak needs a per-pipeline process) and asserts:
+gf2bit backend, event engine — **in two separate subprocesses**
+(``ru_maxrss`` is a process-lifetime high-water mark, so a per-path peak
+needs a per-path process): the ``csr`` child materialises the scenario, the
+``networkx`` child builds the family's networkx graph and the same protocol
+factory on it, and both time those phases and then the trials.  It asserts:
 
 * both pipelines are **bit-identical** — the per-trial result signatures
   (stopping times, message/helpful counts, completion rounds, metadata)
@@ -55,16 +56,45 @@ _REPO = Path(__file__).resolve().parent.parent
 
 
 def _child(pipeline: str, n: int, trials: int, seed: int) -> None:
-    """Run one pipeline's materialise + simulate phases; print a JSON record."""
+    """Run one path's materialise + simulate phases; print a JSON record.
+
+    ``materialize_seconds`` covers the same phases on both paths: building
+    the graph, resolving the placement and constructing the protocol
+    factory.  ``simulate_seconds`` covers the trials.
+    """
     from _utils import peak_rss_mib, trial_signature
-    from repro.scenarios import get_scenario
+    from repro.experiments.parallel import measure_protocol_parallel
+    from repro.graphs import TOPOLOGY_BUILDERS
+    from repro.scenarios import UniformGossipFactory, get_scenario, spread_placement
 
     spec = get_scenario("event/er-logn").replace(n=n, trials=trials, seed=seed)
+    if pipeline == "csr":
+        start = time.perf_counter()
+        scenario = spec.materialize()
+        materialize_seconds = time.perf_counter() - start
+        graph, factory, config = scenario.graph, scenario.protocol_factory, scenario.config
+    else:
+        # The networkx reference, assembled here without building the CSR
+        # graph: the raw networkx builder (unstamped, so the engine flattens
+        # *this* graph instead of being served the direct builder's arrays
+        # from the keyed cache) and the factory materialize() makes for this
+        # workload ("auto" placement with k < n is "spread").  The
+        # bit-identity check below confirms the two factories agree.
+        start = time.perf_counter()
+        graph = TOPOLOGY_BUILDERS[spec.topology](spec.n, **dict(spec.topology_params))
+        config = spec.config
+        factory = UniformGossipFactory(
+            field_order=config.field_size,
+            k=spec.k,
+            payload_length=config.payload_length,
+            placement=spread_placement(graph, spec.k),
+            config=config,
+        )
+        materialize_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    scenario = spec.materialize_csr() if pipeline == "csr" else spec.materialize()
-    materialize_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    results = scenario.measure()
+    results = measure_protocol_parallel(
+        graph, factory, config, trials=trials, seed=seed, jobs=1, spec=spec
+    )
     simulate_seconds = time.perf_counter() - start
     signature = hashlib.sha256(
         repr(trial_signature(results)).encode("utf-8")
@@ -72,8 +102,8 @@ def _child(pipeline: str, n: int, trials: int, seed: int) -> None:
     print(
         json.dumps(
             {
-                "pipeline": scenario.pipeline,
-                "n": scenario.n,
+                "pipeline": pipeline,
+                "n": graph.number_of_nodes(),
                 "materialize_seconds": materialize_seconds,
                 "simulate_seconds": simulate_seconds,
                 "peak_rss_mib": peak_rss_mib(),

@@ -22,7 +22,7 @@ import pytest
 from _utils import PEDANTIC, cached_measure, campaign_unit_specs, report
 from repro.analysis import brr_broadcast_upper_bound
 from repro.core import TimeModel
-from repro.graphs import max_shortest_path_degree_sum
+from repro.graphs import build_topology, max_shortest_path_degree_sum
 
 TRIALS = 3
 TOPOLOGIES = ["line", "grid", "barbell", "complete", "binary_tree"]
@@ -52,6 +52,9 @@ def _broadcast_rows(time_model: TimeModel):
         results = cached_measure(scenario)
         rounds = [result.rounds for result in results]
         depths = [result.metadata["tree_depth"] for result in results]
+        # Lemma 2 is read off the family's networkx graph: scenarios run on a
+        # CSRGraph, and the shortest-path search needs networkx.
+        reference = build_topology(spec.topology, spec.n, **dict(spec.topology_params))
         rows.append(
             {
                 "graph": spec.topology,
@@ -61,7 +64,7 @@ def _broadcast_rows(time_model: TimeModel):
                 "tree_depth": int(np.max(depths)),
                 "bound_3n": int(brr_broadcast_upper_bound(scenario.n)),
                 "lemma2_path_degree_sum": max_shortest_path_degree_sum(
-                    scenario.graph, source=scenario.root
+                    reference, source=scenario.root
                 ),
             }
         )

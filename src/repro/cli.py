@@ -791,7 +791,7 @@ def _run_scenario_spec(
     """
     if seed is not None:
         spec = spec.replace(seed=seed)
-    scenario = spec.materialize_preferred()
+    scenario = spec.materialize()
     # Title uses the materialised n/k (topology rounding / k clamping applied).
     title = spec.name or f"{scenario.spec.topology}(n={scenario.n}, k={scenario.k})"
     if title_prefix is not None:
@@ -910,32 +910,23 @@ def _command_scenario_stats(args: argparse.Namespace) -> int:
     """Cold-build a scenario's topology and print its structural statistics."""
     import time
 
-    import numpy as np
-
-    from .graphs import build_csr_topology
-    from .graphs.topologies import csr_adjacency
+    from .graphs import build_graph, has_csr_builder
 
     spec = get_scenario(args.name)
-    kwargs = dict(spec.topology_params)
     start = time.perf_counter()
-    if spec.uses_csr_pipeline():
-        pipeline = "csr"
-        graph = build_csr_topology(spec.topology, spec.n, use_cache=False, **kwargs)
-        indptr, indices = graph.indptr, graph.indices
-    else:
-        # Raw builder call: bypasses build_topology's cache-key stamp so the
-        # CSR conversion below is genuinely cold, like the direct path.
-        pipeline = "networkx"
-        graph = TOPOLOGY_BUILDERS[spec.topology](spec.n, **kwargs)
-        indptr, indices = csr_adjacency(graph)
+    graph = build_graph(
+        spec.topology, spec.n, use_cache=False, **dict(spec.topology_params)
+    )
     elapsed = time.perf_counter() - start
-    degrees = np.diff(indptr)
+    # Which builder made the graph: the direct-CSR one or networkx + conversion.
+    pipeline = "csr" if has_csr_builder(spec.topology) else "networkx"
+    degrees = graph.degrees()
     stats = {
         "scenario": spec.name or args.name,
         "topology": spec.topology,
         "pipeline": pipeline,
-        "n": int(len(indptr) - 1),
-        "m": int(len(indices) // 2),
+        "n": graph.number_of_nodes(),
+        "m": graph.number_of_edges(),
         "degree_min": int(degrees.min()),
         "degree_mean": round(float(degrees.mean()), 3),
         "degree_max": int(degrees.max()),
@@ -944,7 +935,7 @@ def _command_scenario_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    print(f"{stats['scenario']}: {stats['topology']} via the {pipeline} pipeline")
+    print(f"{stats['scenario']}: {stats['topology']} via the {pipeline} builder")
     print(f"  n:           {stats['n']}")
     print(f"  m:           {stats['m']} edges")
     print(

@@ -333,14 +333,6 @@ def _measure_trial_indices(
                 build_event_process(graph, protocol_factory, rng) for rng in rngs
             ]
             return run_event_trials(graph, processes, config, rngs)
-        from ..graphs.csr import CSRGraph
-
-        if isinstance(graph, CSRGraph):
-            raise EngineError(
-                "a CSR-materialised scenario runs on the event-driven engine "
-                "only; pin engine='event' (or materialise through the networkx "
-                "pipeline for the scalar/batch engines)"
-            )
         if engine == "batch":
             if not batch_supports_config(config):
                 raise EngineError(

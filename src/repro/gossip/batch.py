@@ -65,6 +65,7 @@ import numpy as np
 from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult
 from ..errors import SimulationError
+from ..graphs.topologies import is_connected
 from ..rlnc.batch import BatchDecoder
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
@@ -133,7 +134,7 @@ class BatchEngineCore:
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
-        if not nx.is_connected(graph):
+        if not is_connected(graph):
             raise SimulationError("gossip requires a connected graph")
         if not processes:
             raise SimulationError(f"{type(self).__name__} needs at least one trial")

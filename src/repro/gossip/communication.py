@@ -24,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from ..errors import SimulationError
-from ..graphs.topologies import neighbor_lists
+from ..graphs.topologies import neighbor_lists, sorted_nodes
 
 __all__ = [
     "PartnerSelector",
@@ -66,7 +66,9 @@ class RoundRobinSelector(PartnerSelector):
 
     The starting offset of every node's cycle is chosen uniformly at random
     when the selector is created (the quasirandom rumor-spreading model of
-    Doerr et al.); subsequent wakeups walk the list cyclically.
+    Doerr et al.); subsequent wakeups walk the list cyclically.  Offsets are
+    drawn in ascending node order, so equal graphs draw them identically
+    whatever order their nodes were inserted in.
     """
 
     def __init__(self, graph: nx.Graph, rng: np.random.Generator | None = None) -> None:
@@ -75,7 +77,7 @@ class RoundRobinSelector(PartnerSelector):
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._initial_offset: dict[int, int] = {}
         self._position: dict[int, int] = {}
-        for node in graph.nodes():
+        for node in sorted_nodes(graph):
             neighbors = neighbors_map[node]
             if not neighbors:
                 raise SimulationError(f"node {node} has no neighbours; graph must be connected")

@@ -34,6 +34,7 @@ import numpy as np
 from ..core.config import SimulationConfig, TimeModel
 from ..core.results import RunResult
 from ..errors import SimulationError
+from ..graphs.topologies import is_connected
 from .dynamics import NodeDynamics
 from .trace import EventTrace, GossipEvent
 
@@ -178,7 +179,7 @@ class GossipEngine:
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
-        if not nx.is_connected(graph):
+        if not is_connected(graph):
             raise SimulationError("gossip requires a connected graph")
         self.graph = graph
         self.process = process

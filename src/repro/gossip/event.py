@@ -69,8 +69,7 @@ from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult
 from ..core.rng import BulkDraws, StreamDraws
 from ..errors import EngineError, SimulationError
-from ..graphs.csr import CSRGraph
-from ..graphs.topologies import csr_adjacency
+from ..graphs.topologies import csr_adjacency, is_connected, sorted_nodes
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
 
@@ -88,22 +87,15 @@ def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
 
     The engine reads nothing but the generation, the placement and the
     initial coefficient rows, so a factory with a ``rank_only_process``
-    method (``UniformGossipFactory``) builds the decoder-less process on any
-    graph type, drawing the generation from the *same* ``rng`` stream
-    position as the full process.  Other factories build their full process,
-    except on a graph-free :class:`~repro.graphs.csr.CSRGraph`, which only
-    the rank-only process supports: there they raise a typed
-    :class:`~repro.errors.EngineError`, never a silent fallback.
+    method (``UniformGossipFactory``) builds the decoder-less process,
+    drawing the generation from the *same* ``rng`` stream position as the
+    full process.  Other factories build their full process, which the
+    engine then accepts or refuses with a typed
+    :class:`~repro.errors.EngineError`.
     """
     rank_only = getattr(protocol_factory, "rank_only_process", None)
     if rank_only is not None:
         return rank_only(graph, rng)
-    if isinstance(graph, CSRGraph):
-        raise EngineError(
-            f"{type(protocol_factory).__name__} cannot run on a CSRGraph: "
-            "the graph-free pipeline supports rank-only uniform algebraic "
-            "gossip only; materialise through the networkx path instead"
-        )
     return protocol_factory(graph, rng)
 
 
@@ -159,12 +151,7 @@ class EventGossipEngine:
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
-        connected = (
-            graph.is_connected()
-            if isinstance(graph, CSRGraph)
-            else nx.is_connected(graph)
-        )
-        if not connected:
+        if not is_connected(graph):
             raise SimulationError("gossip requires a connected graph")
         if not event_supports_process(process):
             raise EngineError(
@@ -179,12 +166,7 @@ class EventGossipEngine:
         self.process = process
         self.config = config
         self.rng = rng
-        # A CSRGraph's nodes are exactly 0..n-1, so its node view (a range)
-        # serves directly — position == node id and no O(n) list is built.
-        if isinstance(graph, CSRGraph):
-            self._nodes = graph.nodes()
-        else:
-            self._nodes = sorted(graph.nodes())
+        self._nodes = sorted_nodes(graph)
         self._n = len(self._nodes)
         self._indptr, self._indices = csr_adjacency(graph)
         self._field = process.generation.field
@@ -232,7 +214,7 @@ class EventGossipEngine:
                 for node, decoder in self.process.decoders.items()
             }
         if isinstance(self._nodes, range):
-            pos = None  # position == node id on the CSR pipeline
+            pos = None  # a CSRGraph: position == node id
         else:
             pos = {node: index for index, node in enumerate(self._nodes)}
         initial_rows: dict[int, np.ndarray] = {}

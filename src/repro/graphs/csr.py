@@ -10,11 +10,12 @@ node ``p`` are ``indices[indptr[p]:indptr[p+1]]`` in ascending order, and both
 arrays are read-only ``int64`` — byte-identical to what ``csr_adjacency``
 would return for the equivalent networkx graph.
 
-The class intentionally mirrors the handful of :class:`networkx.Graph`
-surface points the scenario/event layers touch (``number_of_nodes``,
-``nodes()``, ``degree``, containment) so the same code paths accept either
-representation; everything graph-algorithmic (conductance, spanning trees,
-the scalar/batch engines) keeps requiring the full networkx object.
+Every materialised scenario runs on a :class:`CSRGraph`, whichever builder
+made it.  The class mirrors the :class:`networkx.Graph` surface points the
+engines, protocols and placements touch (``number_of_nodes``, ``nodes()``,
+``neighbors``, ``degree``, containment), so the same code paths accept
+either representation; only the graph algorithms the science needs
+(conductance, spanning-tree diameters) keep requiring a networkx object.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class _DegreeView:
         graph = self._graph
         return int(graph.indptr[node + 1] - graph.indptr[node])
 
-    def __call__(self, node: int) -> int:
-        return self[node]
+    def __call__(self, node: int | None = None):
+        """``degree(node)`` is one degree; ``degree()`` the ``(node, degree)`` view."""
+        return self if node is None else self[node]
 
     def __iter__(self):
         indptr = self._graph.indptr
@@ -124,6 +126,7 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self._connected: bool | None = None
+        self._neighbor_lists: dict[int, tuple[int, ...]] | None = None
 
     # -- the networkx surface the scenario/event layers touch ------------
     def number_of_nodes(self) -> int:
@@ -157,6 +160,22 @@ class CSRGraph:
         """Degree of every node as one int64 array."""
         return np.diff(self.indptr)
 
+    def neighbor_lists(self) -> dict[int, tuple[int, ...]]:
+        """Sorted neighbour tuple per node, derived once from the CSR arrays.
+
+        The same mapping :func:`repro.graphs.neighbor_lists` builds for a
+        networkx graph (python ints, ascending), so partner selectors draw
+        against one ordering whichever representation they are handed.
+        """
+        if self._neighbor_lists is None:
+            flat = self.indices.tolist()
+            bounds = self.indptr.tolist()
+            self._neighbor_lists = {
+                node: tuple(flat[bounds[node] : bounds[node + 1]])
+                for node in range(self.n)
+            }
+        return self._neighbor_lists
+
     def is_connected(self) -> bool:
         """Whether the graph is connected (memoized; vectorised BFS)."""
         if self._connected is None:
@@ -166,10 +185,6 @@ class CSRGraph:
                 distances = csr_bfs_distances(self.indptr, self.indices, 0)
                 self._connected = bool((distances >= 0).all())
         return self._connected
-
-    def bfs_distances(self, source: int) -> np.ndarray:
-        """BFS hop distances from ``source`` (-1 for unreachable nodes)."""
-        return csr_bfs_distances(self.indptr, self.indices, source)
 
     # -- pickling (worker processes receive the graph by value) ----------
     def __getstate__(self) -> dict:

@@ -1,4 +1,4 @@
-"""Direct-CSR topology generators: the graph-free materialization path.
+"""Direct-CSR topology generators and :func:`build_graph`, the scenario graph.
 
 Every builder here produces a :class:`~repro.graphs.csr.CSRGraph` whose
 ``(indptr, indices)`` are **byte-identical** to
@@ -38,6 +38,8 @@ from .topologies import (
     _keyed_cache_get,
     _keyed_cache_put,
     _KEYED_CSR,
+    build_topology,
+    csr_adjacency,
     topology_cache_key,
     two_dimensional_side,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "register_csr_topology",
     "has_csr_builder",
     "build_csr_topology",
+    "build_graph",
 ]
 
 #: Registry mapping a topology name to its direct-CSR builder.  Strictly a
@@ -124,6 +127,27 @@ def build_csr_topology(
         shape = (graph.number_of_nodes(), graph.number_of_edges())
         _keyed_cache_put(_KEYED_CSR, key, (shape, (graph.indptr, graph.indices)))
     return graph
+
+
+def build_graph(name: str, n: int, *, use_cache: bool = True, **kwargs) -> CSRGraph:
+    """Build any registered topology as the :class:`CSRGraph` scenarios run on.
+
+    Families with a direct-CSR builder never touch networkx.  The others are
+    built by their networkx builder and flattened with
+    :func:`~repro.graphs.topologies.csr_adjacency`, and the ``nx.Graph`` is
+    dropped.  Both paths read and fill the keyed adjacency cache;
+    ``use_cache=False`` forces a cold build on both.
+    """
+    if has_csr_builder(name):
+        return build_csr_topology(name, n, use_cache=use_cache, **kwargs)
+    if use_cache:
+        graph = build_topology(name, n, **kwargs)
+    else:
+        # The raw builder leaves the graph without build_topology's cache-key
+        # stamp, so the conversion below is cold too.
+        graph = TOPOLOGY_BUILDERS[name](n, **kwargs)
+    indptr, indices = csr_adjacency(graph)
+    return CSRGraph(len(indptr) - 1, indptr, indices)
 
 
 # ----------------------------------------------------------------------

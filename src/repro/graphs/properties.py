@@ -21,6 +21,8 @@ import networkx as nx
 import numpy as np
 
 from ..errors import TopologyError
+from .csr import csr_bfs_distances
+from .topologies import csr_adjacency, is_connected
 
 __all__ = [
     "GraphProfile",
@@ -39,27 +41,37 @@ __all__ = [
 ]
 
 
-def _require_connected(graph: nx.Graph) -> None:
+def _require_connected(graph) -> None:
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
-    if not nx.is_connected(graph):
+    if not is_connected(graph):
         raise TopologyError("graph must be connected")
 
 
-def diameter(graph: nx.Graph) -> int:
-    """Graph diameter ``D`` (longest shortest path)."""
+def diameter(graph) -> int:
+    """Graph diameter ``D`` (longest shortest path).
+
+    One :func:`~repro.graphs.csr.csr_bfs_distances` per node over
+    :func:`csr_adjacency`, so a networkx graph and a
+    :class:`~repro.graphs.csr.CSRGraph` take the same path; O(nm) in total,
+    like :func:`networkx.diameter`.
+    """
     _require_connected(graph)
-    return int(nx.diameter(graph))
+    indptr, indices = csr_adjacency(graph)
+    return max(
+        int(csr_bfs_distances(indptr, indices, source).max())
+        for source in range(len(indptr) - 1)
+    )
 
 
-def max_degree(graph: nx.Graph) -> int:
+def max_degree(graph) -> int:
     """Maximum degree ``Δ``."""
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
     return int(max(degree for _, degree in graph.degree()))
 
 
-def min_degree(graph: nx.Graph) -> int:
+def min_degree(graph) -> int:
     """Minimum degree."""
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
@@ -183,7 +195,7 @@ def weak_conductance(graph: nx.Graph, c: int) -> float:
         if len(community) <= 1:
             continue
         induced = graph.subgraph(community).copy()
-        if not nx.is_connected(induced):
+        if not is_connected(induced):
             # A disconnected community has zero internal conductance; this
             # surrogate treats it as the worst case.
             return 0.0

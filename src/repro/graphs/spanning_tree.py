@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ..errors import TopologyError
+from .topologies import is_connected
 
 __all__ = ["SpanningTree", "bfs_spanning_tree", "random_spanning_tree"]
 
@@ -137,7 +138,7 @@ def bfs_spanning_tree(graph: nx.Graph, root: int) -> SpanningTree:
     """
     if root not in graph:
         raise TopologyError(f"root {root} is not a node of the graph")
-    if not nx.is_connected(graph):
+    if not is_connected(graph):
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
     parent: dict[int, int] = {}
     visited = {root}
@@ -161,7 +162,7 @@ def random_spanning_tree(graph: nx.Graph, root: int, rng) -> SpanningTree:
     """
     if root not in graph:
         raise TopologyError(f"root {root} is not a node of the graph")
-    if not nx.is_connected(graph):
+    if not is_connected(graph):
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
     parent: dict[int, int] = {}
     visited = {root}

@@ -38,6 +38,8 @@ __all__ = [
     "register_topology",
     "build_topology",
     "topology_cache_key",
+    "is_connected",
+    "sorted_nodes",
     "neighbor_lists",
     "csr_adjacency",
 ]
@@ -82,9 +84,9 @@ def register_topology(name: str) -> Callable[[_Builder], _Builder]:
 #
 # * a *keyed* LRU, indexed by the (name, n, kwargs) fingerprint
 #   :func:`build_topology` stamps on every graph it returns.  Because the key
-#   is value-like, the graph-free CSR pipeline (`build_csr_topology`) and the
-#   networkx pipeline share entries — whichever materialises first, the other
-#   reuses its arrays.  The capacity bound keeps large-n arrays from pinning
+#   is value-like, the direct-CSR builders (`build_csr_topology`) and
+#   flattened networkx graphs share entries — whichever materialises first,
+#   the other reuses its arrays.  The capacity bound keeps large-n arrays from pinning
 #   memory across sweeps over many topologies.
 # * the per-instance WeakKeyDictionary fallback for unstamped graphs (built
 #   directly, not through `build_topology`).  The (nodes, edges) shape guard
@@ -123,16 +125,42 @@ def _keyed_cache_put(cache: "OrderedDict[tuple, tuple]", key: tuple, entry: tupl
         cache.popitem(last=False)
 
 
-def neighbor_lists(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
+def is_connected(graph) -> bool:
+    """Whether ``graph`` (a networkx graph or a :class:`CSRGraph`) is connected.
+
+    The one connectivity check of the engines, spanning trees and graph
+    properties: a :class:`CSRGraph` answers with its memoized vectorised BFS,
+    a networkx graph through :func:`networkx.is_connected`.
+    """
+    if isinstance(graph, CSRGraph):
+        return graph.is_connected()
+    return nx.is_connected(graph)
+
+
+def sorted_nodes(graph) -> "range | list[int]":
+    """The nodes in ascending order: the position order every engine indexes.
+
+    A :class:`CSRGraph`'s nodes are exactly ``0..n-1``, so its ``range``
+    serves as-is and no O(n) list is built at large ``n``.
+    """
+    if isinstance(graph, CSRGraph):
+        return graph.nodes()
+    return sorted(graph.nodes())
+
+
+def neighbor_lists(graph) -> dict[int, tuple[int, ...]]:
     """Sorted neighbour tuple per node, memoized.
 
     This is the neighbour ordering every partner selector draws against
     (``tuple(sorted(graph.neighbors(node)))``), so consumers share one
     construction per graph rather than rebuilding adjacency per trial.
-    Graphs stamped by :func:`build_topology` share entries by value key;
-    unstamped instances fall back to the per-instance cache.  Callers must
-    treat the returned mapping as immutable.
+    A :class:`CSRGraph` derives it once from its own arrays; networkx graphs
+    stamped by :func:`build_topology` share entries by value key, unstamped
+    instances fall back to the per-instance cache.  Callers must treat the
+    returned mapping as immutable.
     """
+    if isinstance(graph, CSRGraph):
+        return graph.neighbor_lists()
     shape = (graph.number_of_nodes(), graph.number_of_edges())
     key = graph.graph.get("topology_cache_key")
     if key is not None:
@@ -159,8 +187,8 @@ def csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray]:
     O(E) structure the event-driven engine walks instead of an n×n matrix.
 
     A :class:`~repro.graphs.csr.CSRGraph` *is* this structure already and is
-    returned as-is; stamped networkx graphs share entries with the graph-free
-    pipeline through the keyed cache.
+    returned as-is; stamped networkx graphs share entries with the direct-CSR
+    builders through the keyed cache.
     """
     if isinstance(graph, CSRGraph):
         return graph.indptr, graph.indices
@@ -478,7 +506,7 @@ def random_regular_graph(n: int, degree: int = 3, seed: int = 0) -> nx.Graph:
     rng = np.random.default_rng(seed)
     for attempt in range(100):
         graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(graph):
+        if is_connected(graph):
             return _relabel_consecutive(graph)
     raise TopologyError(
         f"failed to sample a connected {degree}-regular graph on {n} nodes"
@@ -493,7 +521,7 @@ def erdos_renyi_graph(n: int, average_degree: float = 6.0, seed: int = 0) -> nx.
     rng = np.random.default_rng(seed)
     for attempt in range(100):
         graph = nx.fast_gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(graph):
+        if is_connected(graph):
             return _relabel_consecutive(graph)
         p = min(1.0, p * 1.2)
     raise TopologyError(f"failed to sample a connected G({n}, p) graph")  # pragma: no cover
@@ -519,7 +547,7 @@ def erdos_renyi_logn_graph(n: int, c: float = 2.0, seed: int = 0) -> nx.Graph:
     rng = np.random.default_rng(seed)
     for attempt in range(100):
         graph = nx.fast_gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(graph):
+        if is_connected(graph):
             return _relabel_consecutive(graph)
         p = min(1.0, p * 1.2)
     raise TopologyError(
@@ -591,6 +619,6 @@ def build_topology(name: str, n: int, **kwargs) -> nx.Graph:
         ) from None
     graph = builder(n, **kwargs)
     # Stamp the value identity of this call so the adjacency caches can be
-    # shared across graph instances (and with the graph-free CSR pipeline).
+    # shared across graph instances (and with the direct-CSR builders).
     graph.graph["topology_cache_key"] = topology_cache_key(name, n, kwargs)
     return graph

@@ -214,13 +214,13 @@ class AlgebraicGossip(GossipProcess):
 
 class RankOnlyUniformGossip(GossipProcess):
     """Uniform algebraic gossip without per-node decoders: the event engine's
-    graph-free process.
+    process.
 
     :class:`AlgebraicGossip` builds ``n`` scalar decoders/encoders up front —
     exactly the O(n) object graph the event-driven engine then ignores in
     favour of its batched rank-only eliminator.  At ``n = 10^6`` that setup is
-    the dominant cost, so the CSR materialization path builds this process
-    instead: it validates the same placement, stores the same
+    the dominant cost, so the event engine builds this process instead
+    (:func:`~repro.gossip.event.build_event_process`): it validates the same placement, stores the same
     :class:`~repro.rlnc.message.Generation` (drawn from the *same* ``rng``
     stream position, so per-seed results are bit-identical), and hands the
     engine the initial coefficient rows directly through

@@ -25,7 +25,8 @@ import networkx as nx
 import numpy as np
 
 from ..errors import SimulationError
-from ..graphs.csr import CSRGraph, csr_bfs_distances
+from ..graphs.csr import csr_bfs_distances
+from ..graphs.topologies import csr_adjacency, sorted_nodes
 
 __all__ = [
     "Placement",
@@ -39,18 +40,6 @@ __all__ = [
 
 #: Node id → list of source message indices initially stored there.
 Placement = dict[int, list[int]]
-
-
-def _ordered_nodes(graph) -> range | list[int]:
-    """Sorted node sequence without materialising a list for a CSRGraph.
-
-    A CSRGraph's nodes are exactly ``0..n-1``, so ``range(n)`` *is* the sorted
-    node sequence — placements built against either representation of the
-    same topology are therefore identical dicts.
-    """
-    if isinstance(graph, CSRGraph):
-        return range(graph.number_of_nodes())
-    return sorted(graph.nodes())
 
 
 def validate_placement(graph: nx.Graph, k: int, placement: Placement) -> None:
@@ -70,13 +59,13 @@ def validate_placement(graph: nx.Graph, k: int, placement: Placement) -> None:
 
 def all_to_all_placement(graph: nx.Graph) -> Placement:
     """One message per node (``k = n``): the all-to-all communication special case."""
-    nodes = _ordered_nodes(graph)
+    nodes = sorted_nodes(graph)
     return {node: [index] for index, node in enumerate(nodes)}
 
 
 def spread_placement(graph: nx.Graph, k: int) -> Placement:
     """``k`` messages at ``k`` (approximately) evenly spaced distinct nodes."""
-    nodes = _ordered_nodes(graph)
+    nodes = sorted_nodes(graph)
     n = len(nodes)
     if not 1 <= k <= n:
         raise SimulationError(f"spread placement requires 1 <= k <= n, got k={k}, n={n}")
@@ -89,7 +78,7 @@ def spread_placement(graph: nx.Graph, k: int) -> Placement:
 
 def single_source_placement(graph: nx.Graph, k: int, source: int | None = None) -> Placement:
     """All ``k`` messages at one node (defaults to the lowest-numbered node)."""
-    nodes = _ordered_nodes(graph)
+    nodes = sorted_nodes(graph)
     if k < 1:
         raise SimulationError(f"k must be positive, got {k}")
     chosen = nodes[0] if source is None else source
@@ -100,7 +89,7 @@ def single_source_placement(graph: nx.Graph, k: int, source: int | None = None) 
 
 def random_placement(graph: nx.Graph, k: int, rng: np.random.Generator) -> Placement:
     """Each message at an independently uniform random node."""
-    nodes = _ordered_nodes(graph)
+    nodes = sorted_nodes(graph)
     if k < 1:
         raise SimulationError(f"k must be positive, got {k}")
     placement: Placement = {}
@@ -121,16 +110,13 @@ def adversarial_far_placement(graph: nx.Graph, k: int, target: int) -> Placement
         raise SimulationError(f"target node {target} is not in the graph")
     if k < 1:
         raise SimulationError(f"k must be positive, got {k}")
-    if isinstance(graph, CSRGraph):
-        # Same ordering as the networkx branch: distance descending, node id
-        # ascending within a distance class (the sort key below is total, so
-        # the stable lexsort and sorted() agree exactly; BFS reaches every
-        # node of the connected graph, matching dict_keys coverage).
-        hops = csr_bfs_distances(graph.indptr, graph.indices, target)
-        farthest = np.lexsort((np.arange(hops.size), -hops)).tolist()
-    else:
-        distances = nx.single_source_shortest_path_length(graph, target)
-        farthest = sorted(distances, key=lambda node: (-distances[node], node))
+    # Hop distance descending, node ascending within a distance class; nodes
+    # the BFS cannot reach are no candidates.
+    nodes = sorted_nodes(graph)
+    indptr, indices = csr_adjacency(graph)
+    hops = csr_bfs_distances(indptr, indices, nodes.index(target))
+    order = np.lexsort((np.arange(hops.size), -hops))
+    farthest = [nodes[position] for position in order[hops[order] >= 0].tolist()]
     placement: Placement = {}
     for index in range(k):
         node = farthest[index % len(farthest)]

@@ -60,10 +60,10 @@ from ..errors import ConfigurationError
 from ..gf import GF
 from ..gossip.engine import GossipProcess
 from ..graphs.csr import CSRGraph
-from ..graphs.csr_builders import build_csr_topology, has_csr_builder
+from ..graphs.csr_builders import build_graph
 from ..graphs.properties import diameter as graph_diameter
 from ..graphs.properties import max_degree as graph_max_degree
-from ..graphs.topologies import TOPOLOGY_BUILDERS, build_topology
+from ..graphs.topologies import TOPOLOGY_BUILDERS
 from ..protocols.algebraic_gossip import AlgebraicGossip, RankOnlyUniformGossip
 from ..protocols.is_protocol import ISSpanningTree
 from ..protocols.spanning_tree_protocols import (
@@ -172,7 +172,7 @@ class UniformGossipFactory:
     def rank_only_process(
         self, graph: Any, rng: np.random.Generator
     ) -> RankOnlyUniformGossip:
-        """Decoder-less process for the event engine's graph-free pipeline.
+        """Decoder-less process for the event engine.
 
         Draws the :class:`~repro.rlnc.message.Generation` from the exact
         ``rng`` position ``__call__`` would, and construction consumes no
@@ -562,77 +562,15 @@ class ScenarioSpec:
     def materialize(self) -> "MaterializedScenario":
         """Build the graph, protocol factory and bounds this spec describes.
 
-        Materialisation is deterministic: every stochastic ingredient (e.g. a
-        ``random`` placement) derives from :attr:`seed`, so the same spec
-        always yields the same workload.
+        The graph is always a :class:`~repro.graphs.csr.CSRGraph`: families
+        with a direct-CSR builder skip networkx, the others are built by
+        their networkx builder and converted (see
+        :func:`~repro.graphs.build_graph`).  Materialisation is
+        deterministic: every stochastic ingredient (e.g. a ``random``
+        placement) derives from :attr:`seed`, so the same spec always yields
+        the same workload.
         """
-        graph = build_topology(self.topology, self.n, **dict(self.topology_params))
-        return self._materialize_from_graph(graph)
-
-    def materialize_csr(self) -> "MaterializedScenario":
-        """Materialise through the direct-CSR pipeline: no ``nx.Graph`` ever.
-
-        The graph is built straight to ``(indptr, indices)`` by the family's
-        direct-CSR builder — byte-identical per seed to
-        ``csr_adjacency(networkx_builder(...))``, the contract every builder
-        is tested against — and the protocol factory's decoder-less
-        ``rank_only_process`` feeds the event engine.  Per-seed results are
-        bit-identical to :meth:`materialize`; only peak memory and
-        materialisation time differ.
-
-        Only workloads the event engine can replay qualify: the spec must pin
-        ``engine="event"`` and ``protocol="uniform"``, and the topology family
-        must have a direct-CSR builder — anything else raises
-        :class:`~repro.errors.ConfigurationError` (use :meth:`materialize`).
-        """
-        if self.protocol != "uniform":
-            raise ConfigurationError(
-                f"materialize_csr runs uniform algebraic gossip only, got "
-                f"protocol {self.protocol!r}; use materialize() instead"
-            )
-        if self.engine != "event":
-            raise ConfigurationError(
-                "materialize_csr requires engine='event' (the CSR pipeline "
-                "feeds the event-driven engine only); use materialize() or "
-                "set engine='event' on the spec"
-            )
-        if not has_csr_builder(self.topology):
-            raise ConfigurationError(
-                f"topology {self.topology!r} has no direct-CSR builder; "
-                "use materialize() for the networkx pipeline"
-            )
-        graph = build_csr_topology(
-            self.topology, self.n, **dict(self.topology_params)
-        )
-        return self._materialize_from_graph(graph)
-
-    def uses_csr_pipeline(self) -> bool:
-        """Whether :meth:`materialize_preferred` would take the CSR pipeline."""
-        return (
-            self.engine == "event"
-            and self.protocol == "uniform"
-            and has_csr_builder(self.topology)
-        )
-
-    def materialize_preferred(self) -> "MaterializedScenario":
-        """Materialise through the cheapest eligible pipeline.
-
-        Routes to :meth:`materialize_csr` when the workload qualifies for
-        the graph-free pipeline (event engine, uniform protocol, a direct
-        CSR builder for the topology family) and to :meth:`materialize`
-        otherwise.  Per-seed results are bit-identical either way — only
-        materialisation time and peak RSS differ — which makes this the
-        right default wherever large-n workloads may flow through (the CLI
-        trial runners, the campaign runner's summary units).
-        """
-        if self.uses_csr_pipeline():
-            return self.materialize_csr()
-        return self.materialize()
-
-    def _materialize_from_graph(
-        self, graph: "nx.Graph | CSRGraph"
-    ) -> "MaterializedScenario":
-        """Shared tail of both materialisation pipelines (k resolution on)."""
+        graph = build_graph(self.topology, self.n, **dict(self.topology_params))
         actual_n = graph.number_of_nodes()
         if self.k is None:
             actual_k = actual_n
@@ -660,7 +598,7 @@ class ScenarioSpec:
             actual_k = self.k
         config = self._resolve_activation(graph)
         placement = self._resolve_placement(graph, actual_k)
-        root = 0 if isinstance(graph, CSRGraph) else sorted(graph.nodes())[0]
+        root = 0  # a CSRGraph's lowest node
         if self.protocol == "uniform":
             factory: Any = UniformGossipFactory(
                 field_order=config.field_size,
@@ -694,9 +632,13 @@ class ScenarioSpec:
             root=root,
         )
 
+    def materialize_csr(self) -> "MaterializedScenario":
+        """Alias of :meth:`materialize`, kept for existing callers."""
+        return self.materialize()
+
     _PLACEMENT_PARAMS = {"single_source": {"source"}, "adversarial_far": {"target"}}
 
-    def _resolve_placement(self, graph: nx.Graph, k: int) -> Placement:
+    def _resolve_placement(self, graph: CSRGraph, k: int) -> Placement:
         params = dict(self.placement_params)
         name = self.placement
         if name == "auto":
@@ -714,13 +656,11 @@ class ScenarioSpec:
         if name == "single_source":
             return single_source_placement(graph, k, **params)
         if name == "adversarial_far":
-            params.setdefault(
-                "target", 0 if isinstance(graph, CSRGraph) else sorted(graph.nodes())[0]
-            )
+            params.setdefault("target", 0)
             return adversarial_far_placement(graph, k, **params)
         return random_placement(graph, k, derive_rng(self.seed, "placement"))
 
-    def _resolve_activation(self, graph: nx.Graph) -> SimulationConfig:
+    def _resolve_activation(self, graph: CSRGraph) -> SimulationConfig:
         """Resolve the activation recipe into concrete per-node rates."""
         params = dict(self.activation)
         kind = params.pop("kind", "uniform")
@@ -731,8 +671,7 @@ class ScenarioSpec:
                 "give either an activation recipe or explicit "
                 "config.activation_rates, not both"
             )
-        nodes = graph.nodes() if isinstance(graph, CSRGraph) else sorted(graph.nodes())
-        n = len(nodes)
+        n = graph.number_of_nodes()
         if kind == "two_speed":
             ratio = float(params.pop("ratio", 4.0))
             fast_fraction = float(params.pop("fast_fraction", 0.5))
@@ -745,7 +684,7 @@ class ScenarioSpec:
             fast = max(1, int(round(n * fast_fraction)))
             rates = tuple(ratio if pos < fast else 1.0 for pos in range(n))
         elif kind == "degree":
-            rates = tuple(float(graph.degree[node]) for node in nodes)
+            rates = tuple(float(degree) for degree in graph.degrees().tolist())
         else:  # explicit
             rates = tuple(float(r) for r in params.pop("rates", ()))
             if len(rates) != n:
@@ -760,15 +699,9 @@ class ScenarioSpec:
         return self.config.replace(activation_rates=rates)
 
     def _bounds(
-        self, graph: nx.Graph, n: int, k: int, config: SimulationConfig
+        self, graph: CSRGraph, n: int, k: int, config: SimulationConfig
     ) -> dict[str, float]:
         """The analytic bounds attached to sweep points for this protocol."""
-        if isinstance(graph, CSRGraph):
-            raise ConfigurationError(
-                "analytic bounds need the networkx pipeline (graph diameter "
-                "and degree properties); use ScenarioSpec.materialize() "
-                "instead of materialize_csr() for sweeps with bounds"
-            )
         diameter_value = graph_diameter(graph)
         if self.protocol == "uniform":
             delta = graph_max_degree(graph)
@@ -809,7 +742,7 @@ class MaterializedScenario:
     """
 
     spec: ScenarioSpec
-    graph: "nx.Graph | CSRGraph"
+    graph: CSRGraph
     n: int
     k: int
     placement: Placement
@@ -824,8 +757,8 @@ class MaterializedScenario:
 
     @property
     def pipeline(self) -> str:
-        """Which topology pipeline served this scenario: ``csr`` or ``networkx``."""
-        return "csr" if isinstance(self.graph, CSRGraph) else "networkx"
+        """Always ``"csr"``: every scenario runs on a CSRGraph (kept for existing callers)."""
+        return "csr"
 
     @property
     def label(self) -> str:
@@ -844,16 +777,7 @@ class MaterializedScenario:
         return f"{spec.spanning_tree} tree {spec.topology}(n={self.n})"
 
     def build_process(self, rng: np.random.Generator) -> GossipProcess:
-        """One fresh protocol instance drawing its setup from ``rng``.
-
-        On the networkx pipeline this is exactly ``protocol_factory(graph,
-        rng)``; a CSR-materialised scenario builds the decoder-less rank-only
-        process through :func:`~repro.gossip.event.build_event_process`.
-        """
-        if isinstance(self.graph, CSRGraph):
-            from ..gossip.event import build_event_process
-
-            return build_event_process(self.graph, self.protocol_factory, rng)
+        """One fresh protocol instance drawing its setup from ``rng``."""
         return self.protocol_factory(self.graph, rng)
 
     def sweep_case(

@@ -1,4 +1,4 @@
-"""The graph-free CSR topology pipeline: byte-identical arrays, bit-identical runs.
+"""Every scenario runs on a CSRGraph: byte-identical arrays, bit-identical runs.
 
 Three layers of guarantees:
 
@@ -7,21 +7,20 @@ Three layers of guarantees:
   that are *byte-identical* (``tobytes()``, int64) to
   ``csr_adjacency(networkx_builder(...))`` for the same arguments, across
   sizes, parameters and seeds — including the seed-derived retry loops of the
-  random families.
-* **Pipeline equivalence** — a scenario materialised through
-  :meth:`~repro.scenarios.ScenarioSpec.materialize_csr` replays the networkx
-  pipeline's per-trial :class:`~repro.core.results.RunResult` exactly (every
-  field, every trial) across loss, actions, placements and parallel worker
-  dispatch, and both pipelines share one keyed adjacency cache.
-* **Typed refusals** — workloads the CSR pipeline cannot serve (non-uniform
-  protocols, non-event engines, unconverted families, analytic bounds) fail
-  eagerly with :class:`~repro.errors.ConfigurationError` /
-  :class:`~repro.errors.EngineError`, never a silent fallback.
+  random families.  Direct and converted builds share one keyed adjacency
+  cache.
+* **Graph surface** — a :class:`~repro.graphs.CSRGraph` answers the graph
+  queries the engines and bounds make (degrees, diameter, connectivity,
+  BFS) exactly as networkx does for the same family.
+* **Scenario equivalence against a networkx oracle** — a materialised
+  scenario (always a CSRGraph) replays, per trial and field for field, the
+  sequential engine running the scenario's factory on the family's
+  ``nx.Graph``: on every registered family, for uniform AG and TAG, on every
+  engine, and across loss, actions, placements and worker dispatch.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 
@@ -29,9 +28,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.analysis.stopping_time import measure_protocol
 from repro.core import GossipAction
-from repro.core.rng import derive_rng
-from repro.errors import ConfigurationError, EngineError, TopologyError
+from repro.errors import TopologyError
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.graphs import (
     CSR_BUILDERS,
     CSRGraph,
@@ -41,9 +41,11 @@ from repro.graphs import (
     csr_adjacency,
     csr_bfs_distances,
     csr_from_edges,
+    diameter,
+    max_degree,
     topology_cache_key,
 )
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.scenarios import ScenarioSpec, get_scenario, scenario_names
 
 # ----------------------------------------------------------------------
 # Builder equivalence matrix: direct CSR == csr_adjacency(networkx), bytewise
@@ -89,6 +91,13 @@ def test_direct_csr_builder_matches_networkx_reference_bytewise(name, n, kwargs)
     assert direct.n == reference.number_of_nodes()
     assert direct.indptr.tobytes() == indptr.tobytes()
     assert direct.indices.tobytes() == indices.tobytes()
+
+
+#: The last (largest) equivalence case of each direct-builder family, for the
+#: graph-property checks.
+DIRECT_FAMILY_CASES = list(
+    {name: (name, n, kwargs) for name, n, kwargs in CSR_EQUIVALENCE_CASES}.values()
+)
 
 
 def test_equivalence_matrix_covers_every_registered_csr_builder():
@@ -219,18 +228,65 @@ class TestCSRGraph:
         indptr, indices = csr_adjacency(graph)
         assert indptr is graph.indptr and indices is graph.indices
 
+    @pytest.mark.parametrize(
+        "name,n,kwargs", DIRECT_FAMILY_CASES, ids=[c[0] for c in DIRECT_FAMILY_CASES]
+    )
+    def test_degree_and_diameter_match_networkx(self, name, n, kwargs):
+        graph = build_csr_topology(name, n, use_cache=False, **kwargs)
+        reference = build_topology(name, n, **kwargs)
+        assert dict(graph.degree()) == dict(reference.degree())
+        assert max_degree(graph) == max(dict(reference.degree()).values())
+        assert diameter(graph) == diameter(reference) == nx.diameter(reference)
+
 
 # ----------------------------------------------------------------------
-# Pipeline equivalence: materialize_csr() == materialize(), field for field
+# Scenario equivalence: the CSRGraph scenario == the networkx oracle
 # ----------------------------------------------------------------------
+def _networkx_graph(spec: ScenarioSpec) -> nx.Graph:
+    return build_topology(spec.topology, spec.n, **dict(spec.topology_params))
+
+
+def _networkx_oracle(spec: ScenarioSpec, scenario, graph: nx.Graph | None = None):
+    """The scenario's factory on the family's ``nx.Graph``, scalar engine.
+
+    The sequential reference runner: one
+    :class:`~repro.gossip.GossipEngine` per trial, with partners drawn from
+    the networkx graph's own adjacency.
+    """
+    return measure_protocol(
+        _networkx_graph(spec) if graph is None else graph,
+        scenario.protocol_factory,
+        scenario.config,
+        trials=spec.trials,
+        seed=spec.seed,
+    )
+
+
+def _networkx_reference(spec: ScenarioSpec, scenario):
+    """The scenario's factory on the family's ``nx.Graph``, same engine choice.
+
+    The parallel runner picks the engine the scenario would (the event
+    engine for these rank-only workloads), so this is cheap enough for the
+    full-size cases.
+    """
+    return measure_protocol_parallel(
+        _networkx_graph(spec),
+        scenario.protocol_factory,
+        scenario.config,
+        trials=spec.trials,
+        seed=spec.seed,
+        spec=spec,
+    )
+
+
 def _er_spec(**overrides) -> ScenarioSpec:
     settings = dict(n=64, trials=3, seed=20260808)
     settings.update(overrides)
     return get_scenario("event/er-logn").replace(**settings)
 
 
-#: name → spec factory: one entry per behavioural axis the CSR pipeline
-#: claims to replay bit-identically.
+#: name → spec factory: one entry per behavioural axis the CSR graph must
+#: replay bit-identically.
 PIPELINE_CASES = {
     "er-logn": lambda: _er_spec(),
     "ring-of-cliques": lambda: get_scenario("event/ring-of-cliques").replace(
@@ -248,26 +304,43 @@ PIPELINE_CASES = {
     ),
 }
 
+#: The scalar oracle costs O(n) per timeslot, so it runs the same cases at
+#: this smaller size.
+ORACLE_N = 32
+
 
 @pytest.mark.parametrize("case", sorted(PIPELINE_CASES), ids=str)
 def test_csr_pipeline_matches_networkx_pipeline_bit_identically(case):
     spec = PIPELINE_CASES[case]()
-    via_networkx = spec.materialize()
-    via_csr = spec.materialize_csr()
-    assert via_networkx.pipeline == "networkx" and via_csr.pipeline == "csr"
-    assert via_networkx.measure() == via_csr.measure()
+    scenario = spec.materialize()
+    assert isinstance(scenario.graph, CSRGraph)
+    assert scenario.measure() == _networkx_reference(spec, scenario)
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES), ids=str)
+def test_csr_pipeline_matches_the_scalar_networkx_oracle(case):
+    spec = PIPELINE_CASES[case]().replace(n=ORACLE_N)
+    scenario = spec.materialize()
+    assert scenario.measure() == _networkx_oracle(spec, scenario)
 
 
 def test_run_single_matches_across_pipelines():
     spec = _er_spec(trials=1)
-    assert spec.materialize().run_single() == spec.materialize_csr().run_single()
+    scenario = spec.materialize()
+    assert [scenario.run_single()] == _networkx_reference(spec, scenario)
+    small = spec.replace(n=ORACLE_N)
+    scenario = small.materialize()
+    assert [scenario.run_single()] == _networkx_oracle(small, scenario)
 
 
 def test_parallel_worker_dispatch_matches_inline_on_csr_pipeline():
     """Chunked workers receive the CSRGraph by pickle and stay bit-identical."""
     spec = _er_spec(trials=4)
-    scenario = spec.materialize_csr()
-    assert scenario.measure(jobs=2) == spec.materialize().measure(jobs=1)
+    scenario = spec.materialize()
+    assert scenario.measure(jobs=2) == _networkx_reference(spec, scenario)
+    small = spec.replace(n=ORACLE_N)
+    scenario = small.materialize()
+    assert scenario.measure(jobs=2) == _networkx_oracle(small, scenario)
 
 
 def test_pipelines_share_one_fingerprint():
@@ -275,56 +348,50 @@ def test_pipelines_share_one_fingerprint():
     assert spec.materialize().spec.fingerprint() == spec.materialize_csr().spec.fingerprint()
 
 
-# ----------------------------------------------------------------------
-# Typed refusals
-# ----------------------------------------------------------------------
-def test_materialize_csr_rejects_non_uniform_protocols():
+#: The protocols every family is checked under, and the engines each runs on.
+FAMILY_PROTOCOLS = {
+    "uniform": ({"protocol": "uniform"}, ("scalar", "batch", "event")),
+    "tag-brr": ({"protocol": "tag", "spanning_tree": "brr"}, ("scalar", "batch")),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(FAMILY_PROTOCOLS))
+@pytest.mark.parametrize("topology", sorted(TOPOLOGY_BUILDERS))
+def test_every_family_on_every_engine_matches_the_networkx_oracle(topology, protocol):
+    fields, engines = FAMILY_PROTOCOLS[protocol]
+    spec = ScenarioSpec(topology=topology, n=16, k=4, trials=2, seed=3, **fields)
+    scenario = spec.materialize()
+    assert isinstance(scenario.graph, CSRGraph)
+    graph = _networkx_graph(spec)
+    assert scenario.graph.indptr.tobytes() == csr_adjacency(graph)[0].tobytes()
+    assert scenario.graph.indices.tobytes() == csr_adjacency(graph)[1].tobytes()
+    assert diameter(scenario.graph) == nx.diameter(graph)
+    assert max_degree(scenario.graph) == max(dict(graph.degree()).values())
+    oracle = _networkx_oracle(spec, scenario, graph)
+    for engine in engines:
+        assert spec.replace(engine=engine).materialize().measure() == oracle, engine
+
+
+def test_round_robin_results_on_out_of_order_families_are_pinned():
+    """Round-robin offsets follow ascending node order on every graph.
+
+    ``dumbbell``'s networkx builder inserts nodes out of ascending order, so
+    these per-seed results differ from those of offsets drawn in insertion
+    order; stores holding the latter must be recomputed (see
+    ``docs/result_store.md``).
+    """
     spec = ScenarioSpec(
-        name="t", description="t", topology="barbell", n=16, protocol="tag",
-        spanning_tree="brr",
+        topology="dumbbell", n=16, k=4, protocol="tag", spanning_tree="brr",
+        trials=3, seed=3,
     )
-    with pytest.raises(ConfigurationError, match="uniform algebraic gossip"):
-        spec.materialize_csr()
+    results = spec.materialize().measure()
+    assert [result.rounds for result in results] == [30, 28, 38]
+    assert [result.metadata["tree_depth"] for result in results] == [6, 8, 7]
 
 
-def test_materialize_csr_requires_the_event_engine():
-    spec = _er_spec(engine="")
-    with pytest.raises(ConfigurationError, match="engine='event'"):
-        spec.materialize_csr()
-
-
-def test_materialize_csr_rejects_unconverted_topologies():
-    spec = ScenarioSpec(
-        name="t", description="t", topology="complete", n=16, k=8, engine="event",
-        config=_er_spec().config,
-    )
-    with pytest.raises(ConfigurationError, match="no direct-CSR builder"):
-        spec.materialize_csr()
-
-
-def test_bounds_require_the_networkx_pipeline():
-    scenario = _er_spec().materialize_csr()
-    with pytest.raises(ConfigurationError, match="analytic bounds"):
-        scenario.bounds
-
-
-def test_csr_scenario_refuses_non_event_engines():
-    scenario = _er_spec().materialize_csr()
-    rewired = dataclasses.replace(scenario, spec=scenario.spec.replace(engine="scalar"))
-    with pytest.raises(EngineError, match="event-driven engine"):
-        rewired.measure()
-
-
-def test_build_event_process_refuses_non_rank_only_factories_on_csr():
-    from repro.gossip.event import build_event_process
-
-    tag = ScenarioSpec(
-        name="t", description="t", topology="barbell", n=16, protocol="tag",
-        spanning_tree="brr",
-    ).materialize()
-    graph = build_csr_topology("ring", 16)
-    with pytest.raises(EngineError, match="graph-free pipeline"):
-        build_event_process(graph, tag.protocol_factory, derive_rng(0, "trial-0"))
+def test_every_registered_scenario_materializes_a_csr_graph():
+    for name in scenario_names():
+        assert isinstance(get_scenario(name).materialize().graph, CSRGraph), name
 
 
 # ----------------------------------------------------------------------

@@ -68,6 +68,17 @@ class TestRoundRobinSelector:
         assert selector.partner(0, rng) == 1
         assert selector.partner(0, rng) == 1
 
+    def test_offsets_ignore_node_insertion_order(self):
+        graph = ring_graph(9)
+        shuffled = nx.Graph()
+        shuffled.add_nodes_from([4, 8, 0, 6, 2, 7, 1, 5, 3])
+        shuffled.add_edges_from(graph.edges())
+        offsets = [
+            RoundRobinSelector(g, np.random.default_rng(5)).positions()
+            for g in (graph, shuffled)
+        ]
+        assert offsets[0] == offsets[1]
+
 
 class TestFixedPartnerSelector:
     def test_unassigned_nodes_get_none(self, rng):

@@ -37,7 +37,7 @@ ENGINES = ("scalar", "batch", "event")
 
 
 def _sweep_spec(trials: int = 3):
-    """A small CSR-eligible workload shared by every test in this file."""
+    """A small workload shared by every test in this file."""
     return get_scenario("event/er-logn").replace(n=48, trials=trials, name="")
 
 
@@ -49,7 +49,7 @@ def _measure(spec, engine: str):
     with) the same shard.
     """
     pinned = spec.replace(engine=engine)
-    scenario = pinned.materialize_preferred()
+    scenario = pinned.materialize()
     return _measure_trial_indices(
         scenario.graph,
         scenario.protocol_factory,
